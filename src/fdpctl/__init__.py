@@ -17,11 +17,11 @@ __version__ = "0.1.0"
 from .core import (CriticalConstants, Gamma, RejectionResult, TruthLabels,
                    exceeds_gamma, kfdp_value)
 from .engine import annotate_truth, step_down, step_up
-from .constants import (BoundValue, CalibrationError, ConstantsReport,
-                        IndexMaps, Template, arbdep_sd_report,
+from .constants import (FAMILIES, BoundValue, CalibrationError,
+                        ConstantsReport, IndexMaps, Template, arbdep_sd_report,
                         arbdep_su_report, bh_template, calibrate_pair_scale,
-                        gbs_template, index_maps, lr_constants, lr_template,
-                        make_template, pair_sd_bound, pair_su_bound,
+                        family_report, gbs_template, index_maps, lr_constants,
+                        lr_template, make_template, pair_sd_bound, pair_su_bound,
                         pairwise_lr_report, posdep_sd_report,
                         posdep_su_report, sd_marginal_bound,
                         su_marginal_bound)

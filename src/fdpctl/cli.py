@@ -24,11 +24,9 @@ from . import constants as cmod
 from . import oracle, simlab, svg
 from .core import CriticalConstants, Gamma
 from .engine import step_down, step_up
-from .pairdist import EquicorrelatedPairs, IndependentPairs
+from .pairdist import make_pairwise
 
 __all__ = ["main"]
-
-_FAMILIES = ("lr", "thm32", "thm33", "thm34", "thm35", "thm36", "thm37", "thm38")
 
 
 class UsageError(Exception):
@@ -84,44 +82,23 @@ def _parse_floats(text: str) -> list:
     return [float(tok) for tok in text.split(",") if tok]
 
 
-def _pairwise_from_flags(args):
-    if getattr(args, "f", None):
-        if args.f != "independence":
-            raise UsageError(f"unknown pairwise model {args.f!r}")
-        return IndependentPairs()
-    if getattr(args, "rho", None) is not None:
-        return EquicorrelatedPairs(args.rho)
-    return None
-
-
 # ---------------------------------------------------------------------------
 # constants
 
-def _family_report(args, family: str, gamma: Gamma):
-    n, k, alpha = args.n, args.k, args.alpha
-    if family == "lr":
-        return cmod.lr_constants(n, gamma, alpha)
-    if family in ("thm32", "thm33", "thm35", "thm36"):
-        tpl = cmod.make_template(args.template, n, gamma=gamma).values(alpha)
-        fn = {"thm32": cmod.posdep_sd_report, "thm33": cmod.posdep_su_report,
-              "thm35": cmod.arbdep_sd_report, "thm36": cmod.arbdep_su_report}[family]
-        return fn(tpl, gamma, k, alpha, n0_max=args.n0_max)
-    F = _pairwise_from_flags(args)
-    if F is None:
-        raise UsageError(f"family {family} needs --rho or --f independence")
-    if family == "thm34":
-        if k < 2:
-            raise UsageError("family thm34 is defined for k >= 2 only")
-        return cmod.pairwise_lr_report(n, gamma, k, alpha, F, n0_max=args.n0_max)
-    template = cmod.make_template(args.template, n, gamma=gamma)
-    direction = "sd" if family == "thm37" else "su"
-    return cmod.calibrate_pair_scale(direction, template, gamma, k, alpha, F,
-                                     n0_max=args.n0_max)
+def _family_report(args, gamma: Gamma, n: int):
+    F = None
+    if cmod.FAMILIES[args.family].pairwise:
+        model = args.f or args.rho
+        if model is None:
+            raise UsageError(f"family {args.family} needs --rho or --f independence")
+        F = make_pairwise(model)
+    return cmod.family_report(args.family, n, gamma, args.k, args.alpha,
+                              template=args.template, F=F, n0_max=args.n0_max)
 
 
 def cmd_constants(args) -> int:
     gamma = _parse_gamma(args.gamma)
-    report = _family_report(args, args.family, gamma)
+    report = _family_report(args, gamma, args.n)
     params = dict(family=args.family, n=args.n, gamma=str(gamma), alpha=args.alpha,
                   k=args.k, template=args.template, rho=getattr(args, "rho", None),
                   f=getattr(args, "f", None), n0_max=args.n0_max)
@@ -174,12 +151,7 @@ def cmd_test(args) -> int:
         if args.gamma is None:
             raise UsageError("family-based constants need --gamma")
         gamma = _parse_gamma(args.gamma)
-        saved_n = args.n
-        args.n = p.size
-        try:
-            constants = _family_report(args, args.family, gamma).constants
-        finally:
-            args.n = saved_n
+        constants = _family_report(args, gamma, p.size).constants
         gamma_txt = str(gamma)
     else:
         raise UsageError("test needs either --constants or --family")
@@ -294,7 +266,8 @@ def cmd_verify(args) -> int:
 # wiring
 
 def _add_constant_flags(sub, family_required=True):
-    sub.add_argument("--family", required=family_required, choices=_FAMILIES)
+    sub.add_argument("--family", required=family_required,
+                     choices=tuple(cmod.FAMILIES))
     sub.add_argument("--n", type=int, default=None)
     sub.add_argument("--gamma", required=family_required,
                      help="exceedance threshold, e.g. 1/10 or 0.1")

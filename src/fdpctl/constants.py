@@ -32,7 +32,7 @@ from functools import lru_cache
 import numpy as np
 
 from .core import CriticalConstants, Gamma
-from .pairdist import PairwiseNull
+from .pairdist import PairwiseNull, conditional_cdf
 
 __all__ = [
     "Template",
@@ -57,6 +57,9 @@ __all__ = [
     "calibrate_pair_scale",
     "sd_marginal_bound",
     "su_marginal_bound",
+    "Family",
+    "FAMILIES",
+    "family_report",
 ]
 
 
@@ -176,8 +179,8 @@ def _su_rank_raw(n: int, gamma: Gamma) -> np.ndarray:
     return out
 
 
-def _sd_slack(n0: int, n1: int, gamma: Gamma, f_all: np.ndarray):
-    """(M, m(1..M)) for one n0; raises if a level in [1, M] is skipped."""
+def _sd_rank(n0: int, n1: int, k: int, f_all: np.ndarray) -> np.ndarray:
+    """mbar(0..M) for one n0; raises if a level in [1, M] is skipped."""
     f = f_all[: n1 + 1]
     m_cap = min(n0, int(f[-1]))
     levels = np.arange(1, m_cap + 1)
@@ -187,7 +190,14 @@ def _sd_slack(n0: int, n1: int, gamma: Gamma, f_all: np.ndarray):
             "stepdown index map skips exceedance levels; this family "
             "requires gamma <= 1/2"
         )
-    return m_cap, slack
+    mbar = np.zeros(m_cap + 1, dtype=np.int64)
+    mbar[1:] = np.maximum(levels, k) + slack
+    return mbar
+
+
+def _su_rank(n0: int, n1: int, raw: np.ndarray) -> np.ndarray:
+    """mt(0..n0) for one n0, from raw = _su_rank_raw(n, gamma)."""
+    return np.minimum(raw[: n0 + 1], np.arange(n0 + 1) + n1)
 
 
 @dataclass(frozen=True)
@@ -209,19 +219,17 @@ def index_maps(n: int, n0: int, gamma: Gamma, k: int) -> IndexMaps:
     if not 1 <= k <= n0 <= n:
         raise ValueError(f"need 1 <= k <= n0 <= n, got k={k}, n0={n0}, n={n}")
     n1 = n - n0
-    m_cap, slack = _sd_slack(n0, n1, gamma, _floor_odds_plus1(n, gamma))
-    sd_slack = np.concatenate([[0], slack]).astype(np.int64)
-    levels = np.arange(1, m_cap + 1)
-    sd_rank = np.concatenate([[0], np.maximum(levels, k) + slack]).astype(np.int64)
+    sd_rank = _sd_rank(n0, n1, k, _floor_odds_plus1(n, gamma))
+    sd_slack = sd_rank - np.maximum(np.arange(sd_rank.size), k)
+    sd_slack[0] = 0
     raw_full = _su_rank_raw(n, gamma)
-    i = np.arange(n0 + 1)
     su_rank_raw = raw_full[: n0 + 1].copy()
-    su_rank = np.minimum(su_rank_raw, i + n1)
-    su_rank[0] = 0
+    su_rank = _su_rank(n0, n1, raw_full)
     for arr in (sd_slack, sd_rank, su_rank_raw, su_rank):
         arr.setflags(write=False)
-    return IndexMaps(n=n, n0=n0, k=k, n_levels=m_cap, sd_slack=sd_slack,
-                     sd_rank=sd_rank, su_rank_raw=su_rank_raw, su_rank=su_rank)
+    return IndexMaps(n=n, n0=n0, k=k, n_levels=sd_rank.size - 1,
+                     sd_slack=sd_slack, sd_rank=sd_rank,
+                     su_rank_raw=su_rank_raw, su_rank=su_rank)
 
 
 # ---------------------------------------------------------------------------
@@ -248,26 +256,79 @@ class BoundValue:
     split_by_n0: dict
 
 
-def _n0_range(n: int, k: int, n0_max: int | None):
+def _worst_over_n0(value_at, n: int, k: int, n0_max: int | None):
+    """(max of value_at(n0) over n0 in [k, min(n, n0_max)], first argmax)."""
     hi = n if n0_max is None else min(n, n0_max)
     if hi < k:
         raise ValueError(f"empty n0 range: k={k}, n0_max={hi}")
-    return range(k, hi + 1)
+    best, best_n0 = -np.inf, -1
+    for n0 in range(k, hi + 1):
+        val = value_at(n0)
+        if val > best:
+            best, best_n0 = val, n0
+    return best, best_n0
 
 
-def _rescaled(tpl: np.ndarray, k: int, alpha: float, scale: float) -> CriticalConstants:
-    n = tpl.size - 1
-    ranks = np.maximum(np.arange(1, n + 1), k)
+# ---------------------------------------------------------------------------
+# marginal-only families: C = max over n0 of value(av, k, n0), where av is
+# the template read through the rank map mbar (stepdown) or mt (stepup)
+
+def _posdep_sd_value(av: np.ndarray, k: int, n0: int) -> float:
+    return float((n0 * av[1:] / np.maximum(np.arange(1, av.size), k)).max())
+
+
+def _posdep_su_value(av: np.ndarray, k: int, n0: int) -> float:
+    return float((n0 * av[k:] / np.arange(k, av.size)).max())
+
+
+def _sd_marginal_prefix(av: np.ndarray, k: int, n0: int) -> np.ndarray:
+    """Prefix sums A[K] = sum_{i<=K} n0 (av[i]-av[i-1]) / (i v k), K = 0..M."""
+    iok = np.maximum(np.arange(1, av.size), k)
+    return np.concatenate([[0.0], np.cumsum(n0 * np.diff(av) / iok)])
+
+
+def _arbdep_sd_value(av: np.ndarray, k: int, n0: int) -> float:
+    return float(_sd_marginal_prefix(av, k, n0)[-1])
+
+
+def _arbdep_su_value(av: np.ndarray, k: int, n0: int) -> float:
+    """n0 * (av[k]/k + sum_{i=k+1}^{n0} (av[i]-av[i-1]) / i)."""
+    i = np.arange(k + 1, n0 + 1)
+    return float(n0 * (av[k] / k + np.sum((av[k + 1:] - av[k:-1]) / i)))
+
+
+def _marginal_scale(direction: str, value, tpl: np.ndarray, gamma: Gamma,
+                    k: int, n0_max: int | None = None):
+    """(C, worst n0) with C = max over n0 of value(tpl[rank map], k, n0)."""
+    n = _check_template_vector(tpl)
+    if direction == "sd":
+        f_all = _floor_odds_plus1(n, gamma)
+
+        def value_at(n0):
+            return value(tpl[_sd_rank(n0, n - n0, k, f_all)], k, n0)
+    else:
+        raw = _su_rank_raw(n, gamma)
+
+        def value_at(n0):
+            return value(tpl[_su_rank(n0, n - n0, raw)], k, n0)
+
+    return _worst_over_n0(value_at, n, k, n0_max)
+
+
+def _marginal_report(family: str, direction: str, value, tpl, gamma: Gamma,
+                     k: int, alpha: float, n0_max: int | None) -> ConstantsReport:
+    """Template flattened at rank k and rescaled by alpha / C."""
+    tpl = np.asarray(tpl, dtype=float)
+    scale, worst_n0 = _marginal_scale(direction, value, tpl, gamma, k, n0_max)
+    ranks = np.maximum(np.arange(1, tpl.size), k)
     values = alpha * tpl[ranks] / scale
     if values[-1] >= 1.0:
         raise ValueError(
             f"rescaled constants reach {values[-1]:.6g} >= 1; lower alpha"
         )
-    return CriticalConstants(values=values, k=k)
+    return ConstantsReport(family=family, scale=scale, worst_n0=worst_n0,
+                           constants=CriticalConstants(values=values, k=k))
 
-
-# ---------------------------------------------------------------------------
-# marginal-only families
 
 def posdep_sd_report(tpl, gamma: Gamma, k: int, alpha: float,
                      n0_max: int | None = None) -> ConstantsReport:
@@ -276,42 +337,15 @@ def posdep_sd_report(tpl, gamma: Gamma, k: int, alpha: float,
     Rescales the template by C = max over n0 and levels i of
     n0 * tpl[mbar(i)] / (i v k).
     """
-    tpl = np.asarray(tpl, dtype=float)
-    n = _check_template_vector(tpl)
-    f_all = _floor_odds_plus1(n, gamma)
-    best, best_n0 = -np.inf, -1
-    for n0 in _n0_range(n, k, n0_max):
-        m_cap, slack = _sd_slack(n0, n - n0, gamma, f_all)
-        iok = np.maximum(np.arange(1, m_cap + 1), k)
-        val = float((n0 * tpl[iok + slack] / iok).max())
-        if val > best:
-            best, best_n0 = val, n0
-    return ConstantsReport(family="posdep-sd", scale=best, worst_n0=best_n0,
-                           constants=_rescaled(tpl, k, alpha, best))
+    return _marginal_report("posdep-sd", "sd", _posdep_sd_value, tpl, gamma,
+                            k, alpha, n0_max)
 
 
 def posdep_su_report(tpl, gamma: Gamma, k: int, alpha: float,
                      n0_max: int | None = None) -> ConstantsReport:
     """Stepup analog of ``posdep_sd_report``: C = max n0 * tpl[mt(i)] / i."""
-    tpl = np.asarray(tpl, dtype=float)
-    n = _check_template_vector(tpl)
-    raw = _su_rank_raw(n, gamma)
-    best, best_n0 = -np.inf, -1
-    for n0 in _n0_range(n, k, n0_max):
-        i = np.arange(k, n0 + 1)
-        mt = np.minimum(raw[i], i + (n - n0))
-        val = float((n0 * tpl[mt] / i).max())
-        if val > best:
-            best, best_n0 = val, n0
-    return ConstantsReport(family="posdep-su", scale=best, worst_n0=best_n0,
-                           constants=_rescaled(tpl, k, alpha, best))
-
-
-def _sd_marginal_prefix(av: np.ndarray, k: int, n0: int) -> np.ndarray:
-    """Prefix sums A[K] = sum_{i<=K} n0 (av[i]-av[i-1]) / (i v k), K = 0..M."""
-    m_cap = av.size - 1
-    iok = np.maximum(np.arange(1, m_cap + 1), k)
-    return np.concatenate([[0.0], np.cumsum(n0 * np.diff(av) / iok)])
+    return _marginal_report("posdep-su", "su", _posdep_su_value, tpl, gamma,
+                            k, alpha, n0_max)
 
 
 def arbdep_sd_report(tpl, gamma: Gamma, k: int, alpha: float,
@@ -321,75 +355,32 @@ def arbdep_sd_report(tpl, gamma: Gamma, k: int, alpha: float,
     C = max over n0 of the telescoping sum
     n0 * sum_i (tpl[mbar(i)] - tpl[mbar(i-1)]) / (i v k).
     """
-    tpl = np.asarray(tpl, dtype=float)
-    n = _check_template_vector(tpl)
-    f_all = _floor_odds_plus1(n, gamma)
-    best, best_n0 = -np.inf, -1
-    for n0 in _n0_range(n, k, n0_max):
-        m_cap, slack = _sd_slack(n0, n - n0, gamma, f_all)
-        mbar = np.concatenate(
-            [[0], np.maximum(np.arange(1, m_cap + 1), k) + slack]
-        )
-        val = float(_sd_marginal_prefix(tpl[mbar], k, n0)[-1])
-        if val > best:
-            best, best_n0 = val, n0
-    return ConstantsReport(family="arbdep-sd", scale=best, worst_n0=best_n0,
-                           constants=_rescaled(tpl, k, alpha, best))
-
-
-def _su_marginal_value(av: np.ndarray, k: int, n0: int) -> float:
-    """n0 * (av[k]/k + sum_{i=k+1}^{n0} (av[i]-av[i-1]) / i)."""
-    i = np.arange(k + 1, n0 + 1)
-    return float(n0 * (av[k] / k + np.sum((av[k + 1:] - av[k:-1]) / i)))
+    return _marginal_report("arbdep-sd", "sd", _arbdep_sd_value, tpl, gamma,
+                            k, alpha, n0_max)
 
 
 def arbdep_su_report(tpl, gamma: Gamma, k: int, alpha: float,
                      n0_max: int | None = None) -> ConstantsReport:
     """Stepup analog of ``arbdep_sd_report`` built on the mt(i) ranks."""
-    tpl = np.asarray(tpl, dtype=float)
-    n = _check_template_vector(tpl)
-    raw = _su_rank_raw(n, gamma)
-    best, best_n0 = -np.inf, -1
-    for n0 in _n0_range(n, k, n0_max):
-        i = np.arange(n0 + 1)
-        mt = np.minimum(raw[: n0 + 1], i + (n - n0))
-        mt[0] = 0
-        val = _su_marginal_value(tpl[mt], k, n0)
-        if val > best:
-            best, best_n0 = val, n0
-    return ConstantsReport(family="arbdep-su", scale=best, worst_n0=best_n0,
-                           constants=_rescaled(tpl, k, alpha, best))
+    return _marginal_report("arbdep-su", "su", _arbdep_su_value, tpl, gamma,
+                            k, alpha, n0_max)
 
 
 def sd_marginal_bound(tpl, gamma: Gamma) -> float:
     """Worst-case stepdown exceedance bound of a constants vector (k = 1).
 
     max over n0 in [1, n] of n0 * sum_i (v[mbar(i)] - v[mbar(i-1)]) / i,
-    the quantity the pairwise stepdown bound can only improve on.
+    the quantity the pairwise stepdown bound can only improve on: the
+    arbdep stepdown scale at k = 1.
     """
     tpl = np.asarray(tpl, dtype=float)
-    n = _check_template_vector(tpl)
-    f_all = _floor_odds_plus1(n, gamma)
-    best = -np.inf
-    for n0 in range(1, n + 1):
-        m_cap, slack = _sd_slack(n0, n - n0, gamma, f_all)
-        mbar = np.concatenate([[0], np.arange(1, m_cap + 1) + slack])
-        best = max(best, float(_sd_marginal_prefix(tpl[mbar], 1, n0)[-1]))
-    return best
+    return _marginal_scale("sd", _arbdep_sd_value, tpl, gamma, 1)[0]
 
 
 def su_marginal_bound(tpl, gamma: Gamma) -> float:
-    """Stepup analog of ``sd_marginal_bound`` (k = 1)."""
+    """Stepup analog of ``sd_marginal_bound``: the arbdep stepup scale at k = 1."""
     tpl = np.asarray(tpl, dtype=float)
-    n = _check_template_vector(tpl)
-    raw = _su_rank_raw(n, gamma)
-    best = -np.inf
-    for n0 in range(1, n + 1):
-        i = np.arange(n0 + 1)
-        mt = np.minimum(raw[: n0 + 1], i + (n - n0))
-        mt[0] = 0
-        best = max(best, _su_marginal_value(tpl[mt], 1, n0))
-    return best
+    return _marginal_scale("su", _arbdep_su_value, tpl, gamma, 1)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -412,26 +403,31 @@ def pairwise_lr_report(n: int, gamma: Gamma, k: int, alpha: float,
         + sum_{l=k}^{n0-1} (F(b_{l+1} | b_k) - F(b_l | b_k)) / l ],
     with b_i = i alpha / n0 and F(u | v) = F(u, v)/v, so dividing the
     constants by min(C, 1) keeps control while enlarging every threshold
-    whenever C < 1.
+    whenever C < 1.  C <= 0 means F puts no mass on the lower tail, and
+    the model is rejected as degenerate.
     """
     if k < 2:
         raise ValueError("the pairwise generalization needs k >= 2")
     if k > n:
         raise ValueError(f"need k <= n, got k={k}, n={n}")
-    best, best_n0 = -np.inf, -1
-    for n0 in _n0_range(n, k, n0_max):
+
+    def value_at(n0):
         b = np.arange(n0 + 1) * (alpha / n0)
-        cond = np.clip(np.asarray(F.cdf(b[k:], b[k]), dtype=float) / b[k], 0.0, 1.0)
+        cond = conditional_cdf(F, b[k:], b[k])
         inner = cond[0] / (k - 1)
         if n0 > k:
             inner += float(np.sum(np.diff(cond) / np.arange(k, n0)))
-        val = (n0 - 1) * inner
-        if val > best:
-            best, best_n0 = val, n0
-    scale = min(best, 1.0)
+        return (n0 - 1) * inner
+
+    best, best_n0 = _worst_over_n0(value_at, n, k, n0_max)
+    if not best > 0.0:
+        raise ValueError(
+            f"degenerate pairwise model: worst-case C = {best:.6g} <= 0, so F "
+            "has no lower-tail mass at the Lehmann-Romano thresholds"
+        )
     base = lr_template(n, gamma, alpha)
     ranks = np.maximum(np.arange(1, n + 1), k)
-    values = base[ranks] / scale
+    values = base[ranks] / min(best, 1.0)
     if values[-1] >= 1.0:
         raise ValueError(
             f"inflated constants reach {values[-1]:.6g} >= 1; lower alpha"
@@ -471,12 +467,11 @@ def pair_sd_bound(template: Template, gamma: Gamma, k: int, F: PairwiseNull,
     tpl = template.values(beta)
     grid = _PairGrid(F, tpl)
     f_all = _floor_odds_plus1(n, gamma)
-    best, best_n0, split = -np.inf, -1, {}
-    for n0 in _n0_range(n, k, n0_max):
-        m_cap, slack = _sd_slack(n0, n - n0, gamma, f_all)
-        mbar = np.concatenate(
-            [[0], np.maximum(np.arange(1, m_cap + 1), k) + slack]
-        )
+    split = {}
+
+    def value_at(n0):
+        mbar = _sd_rank(n0, n - n0, k, f_all)
+        m_cap = mbar.size - 1
         av = tpl[mbar]
         prefix = _sd_marginal_prefix(av, k, n0)          # A[0..M]
         iok = np.maximum(np.arange(1, m_cap + 1), k)
@@ -496,10 +491,10 @@ def pair_sd_bound(template: Template, gamma: Gamma, k: int, F: PairwiseNull,
                 - n0 * grid.matrix[mbar[kb], mbar[kb + 1]] / k1
             )
         j = int(np.argmin(expr))
-        val = float(expr[j])
         split[n0] = j + 1
-        if val > best:
-            best, best_n0 = val, n0
+        return float(expr[j])
+
+    best, best_n0 = _worst_over_n0(value_at, n, k, n0_max)
     return BoundValue(value=best, worst_n0=best_n0, split_by_n0=split)
 
 
@@ -516,11 +511,10 @@ def pair_su_bound(template: Template, gamma: Gamma, k: int, F: PairwiseNull,
     tpl = template.values(beta)
     grid = _PairGrid(F, tpl)
     raw = _su_rank_raw(n, gamma)
-    best, best_n0, split = -np.inf, -1, {}
-    for n0 in _n0_range(n, k, n0_max):
-        i = np.arange(n0 + 1)
-        mt = np.minimum(raw[: n0 + 1], i + (n - n0))
-        mt[0] = 0
+    split = {}
+
+    def value_at(n0):
+        mt = _su_rank(n0, n - n0, raw)
         av = tpl[mt]
         d = np.diff(av)
         r = np.arange(1, n0 + 1)
@@ -539,21 +533,23 @@ def pair_su_bound(template: Template, gamma: Gamma, k: int, F: PairwiseNull,
         kk = np.arange(k, n0 + 1)
         expr = n0 * av[k - 1] / k + (pref[kk] - pref[k - 1]) + tail[kk]
         j = int(np.argmin(expr))
-        val = float(expr[j])
         split[n0] = k + j
-        if val > best:
-            best, best_n0 = val, n0
+        return float(expr[j])
+
+    best, best_n0 = _worst_over_n0(value_at, n, k, n0_max)
     return BoundValue(value=best, worst_n0=best_n0, split_by_n0=split)
 
 
-def bisect_scale(value_fn, target: float, value_tol: float = 1e-9,
+def bisect_scale(value_fn, target: float, value_tol: float = 5e-10,
                  width_tol: float = 1e-12) -> float:
     """Find beta in (0, 1) with value_fn(beta) = target by bisection.
 
-    Stops when |value - target| <= value_tol or the bracket width falls
-    below width_tol.  value_fn is assumed increasing; that is checked on
-    the trajectory of evaluated points and a violation aborts with
-    ``CalibrationError`` rather than silently picking a root.
+    Returns the first evaluated beta with target - value_tol <= value <=
+    target, or, once the bracket is narrower than width_tol, its lower end,
+    where the value is below target.  Either way value_fn(beta) <= target.
+    value_fn is assumed increasing; that is checked on the trajectory of
+    evaluated points and a violation aborts with ``CalibrationError``
+    rather than silently picking a root.
     """
     trace = []
 
@@ -568,16 +564,17 @@ def bisect_scale(value_fn, target: float, value_tol: float = 1e-9,
         raise CalibrationError(
             f"target {target} unattainable: values span [{v_lo:.3g}, {v_hi:.3g}]"
         )
-    beta_mid = 0.5 * (lo + hi)
     while hi - lo > width_tol:
-        beta_mid = 0.5 * (lo + hi)
-        v_mid = value(beta_mid)
-        if abs(v_mid - target) <= value_tol:
+        beta = 0.5 * (lo + hi)
+        v = value(beta)
+        if target - value_tol <= v <= target:
             break
-        if (v_mid - target) * (v_lo - target) > 0:
-            lo, v_lo = beta_mid, v_mid
+        if (v - target) * (v_lo - target) > 0:
+            lo, v_lo = beta, v
         else:
-            hi, v_hi = beta_mid, v_mid
+            hi = beta
+    else:
+        beta = lo
 
     trace.sort()
     vals = [t[1] for t in trace]
@@ -586,31 +583,85 @@ def bisect_scale(value_fn, target: float, value_tol: float = 1e-9,
             "value function is not monotone on the bisection trajectory; "
             f"evaluated points: {trace}"
         )
-    return beta_mid
+    return beta
 
 
 def calibrate_pair_scale(direction: str, template: Template, gamma: Gamma,
                          k: int, alpha: float, F: PairwiseNull,
                          n0_max: int | None = None,
-                         value_tol: float = 1e-9,
+                         value_tol: float = 5e-10,
                          width_tol: float = 1e-12) -> ConstantsReport:
     """Solve bound(beta) = alpha for the template scale by bisection.
 
-    Returns the calibrated constants tpl(beta*) flattened at rank k.  The
-    residual |bound(beta*) - alpha| is at most value_tol, so dominance
-    comparisons against other families should allow slack of that order.
+    Returns the calibrated constants tpl(beta*) flattened at rank k, with
+    alpha - value_tol <= bound(beta*) <= alpha: the level claim holds for
+    the computed bound, and dominance comparisons against other families
+    should allow slack of order value_tol: for a bound linear in beta the
+    scale falls short by at most value_tol / alpha, 1e-8 by default at
+    alpha = 0.05.
     """
     if direction not in ("sd", "su"):
         raise ValueError(f"direction must be 'sd' or 'su', got {direction!r}")
     bound = pair_sd_bound if direction == "sd" else pair_su_bound
-    beta_star = bisect_scale(
-        lambda beta: bound(template, gamma, k, F, beta, n0_max=n0_max).value,
-        alpha, value_tol=value_tol, width_tol=width_tol,
-    )
-    final = bound(template, gamma, k, F, beta_star, n0_max=n0_max)
+    evaluated = {}
+
+    def value(beta: float) -> float:
+        evaluated[beta] = bound(template, gamma, k, F, beta, n0_max=n0_max)
+        return evaluated[beta].value
+
+    beta_star = bisect_scale(value, alpha, value_tol=value_tol,
+                             width_tol=width_tol)
+    final = evaluated[beta_star]
     tpl_star = template.values(beta_star)
     ranks = np.maximum(np.arange(1, template.n + 1), k)
     constants = CriticalConstants(values=tpl_star[ranks], k=k)
     return ConstantsReport(family=f"pair-{direction}", constants=constants,
                            scale=final.value, worst_n0=final.worst_n0,
                            beta_star=beta_star, split_by_n0=final.split_by_n0)
+
+
+# ---------------------------------------------------------------------------
+# family registry
+
+@dataclass(frozen=True)
+class Family:
+    """How a ``FAMILIES`` entry is built."""
+
+    kind: str              # lr | posdep | arbdep | pairwise-lr | pair
+    direction: str | None  # 'sd' | 'su' for the direction-specific kinds
+    pairwise: bool         # needs the pairwise null CDF F
+
+
+FAMILIES = {
+    "lr": Family("lr", None, False),
+    "thm32": Family("posdep", "sd", False),
+    "thm33": Family("posdep", "su", False),
+    "thm34": Family("pairwise-lr", None, True),
+    "thm35": Family("arbdep", "sd", False),
+    "thm36": Family("arbdep", "su", False),
+    "thm37": Family("pair", "sd", True),
+    "thm38": Family("pair", "su", True),
+}
+
+
+def family_report(family: str, n: int, gamma: Gamma, k: int, alpha: float,
+                  template: str = "lr", F: PairwiseNull | None = None,
+                  n0_max: int | None = None) -> ConstantsReport:
+    """Build one ``FAMILIES`` entry; lr and thm34 ignore ``template``."""
+    if family not in FAMILIES:
+        raise ValueError(f"unknown constants family {family!r}; "
+                         f"known: {', '.join(FAMILIES)}")
+    fam = FAMILIES[family]
+    if fam.pairwise and F is None:
+        raise ValueError(f"family {family} needs a pairwise null model")
+    if fam.kind == "lr":
+        return lr_constants(n, gamma, alpha)
+    if fam.kind == "pairwise-lr":
+        return pairwise_lr_report(n, gamma, k, alpha, F, n0_max=n0_max)
+    tpl = make_template(template, n, gamma=gamma)
+    if fam.kind == "pair":
+        return calibrate_pair_scale(fam.direction, tpl, gamma, k, alpha, F,
+                                    n0_max=n0_max)
+    # looked up on each call, so a wrapper on the module attribute sees it
+    report = globals()[f"{fam.kind}_{fam.direction}_report"]
+    return report(tpl.values(alpha), gamma, k, alpha, n0_max=n0_max)

@@ -27,7 +27,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .core import CriticalConstants, Gamma, TruthLabels
+from .core import CriticalConstants, Gamma, TruthLabels, exceeds_gamma
 from .engine import annotate_truth, step_down, step_up
 from .pairdist import PairwiseNull
 
@@ -268,10 +268,6 @@ def naive_pair_su_bound(template, gamma: Gamma, k: int, F: PairwiseNull,
 # ---------------------------------------------------------------------------
 # pointwise inequality checks
 
-def _exceeds(v: int, r: int, k: int, gamma: Gamma) -> bool:
-    return v >= k and v * gamma.den > r * gamma.num
-
-
 @lru_cache(maxsize=4096)
 def _cc(values: tuple) -> CriticalConstants:
     return CriticalConstants(np.array(values))
@@ -296,7 +292,7 @@ def check_sd_exceedance_bound(inst: SmallInstance):
     labels = _labels(inst.is_null)
     n0, n1 = labels.n0, labels.n1
     res = annotate_truth(_run(step_down, inst.p, inst.constants), labels)
-    lhs = int(_exceeds(res.v, res.r, inst.k, inst.gamma))
+    lhs = int(exceeds_gamma(res, inst.k, inst.gamma))
     if inst.k > n0:
         return None if lhs == 0 else f"exceedance with k > n0 on {inst}"
     nulls = inst.null_p_sorted()
@@ -324,7 +320,7 @@ def check_su_exceedance_bound(inst: SmallInstance):
     labels = _labels(inst.is_null)
     n0, n1 = labels.n0, labels.n1
     res = annotate_truth(_run(step_up, inst.p, inst.constants), labels)
-    lhs = int(_exceeds(res.v, res.r, inst.k, inst.gamma))
+    lhs = int(exceeds_gamma(res, inst.k, inst.gamma))
     if inst.k > n0:
         return None if lhs == 0 else f"exceedance with k > n0 on {inst}"
     nulls = inst.null_p_sorted()

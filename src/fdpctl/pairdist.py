@@ -140,7 +140,7 @@ def conditional_cdf(F: "PairwiseNull", u, v):
     v_arr = np.asarray(v, dtype=float)
     if np.any(v_arr <= 0.0):
         raise ValueError("conditioning level v must be positive")
-    return np.clip(np.asarray(F.cdf(u, v)) / v_arr, 0.0, 1.0)
+    return np.clip(np.asarray(F.cdf(u, v), dtype=float) / v_arr, 0.0, 1.0)
 
 
 class PairwiseNull:
@@ -156,9 +156,6 @@ class PairwiseNull:
 
     def cdf(self, u, v):
         raise NotImplementedError
-
-    def conditional(self, u, v):
-        return conditional_cdf(self, u, v)
 
 
 class IndependentPairs(PairwiseNull):

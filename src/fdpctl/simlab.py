@@ -26,7 +26,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 from scipy.special import ndtr
 
-from .core import CriticalConstants, Gamma, TruthLabels
+from .core import CriticalConstants, Gamma, TruthLabels, exceeds_gamma
 from .engine import annotate_truth, step_down, step_up
 from . import constants as cmod
 from .pairdist import EquicorrelatedPairs, IndependentPairs, PairwiseNull
@@ -121,9 +121,9 @@ def two_sided_pvalues(z) -> np.ndarray:
 class ProcedureSpec:
     """Direction + constant family + (k, gamma, alpha) + optional pairwise F.
 
-    ``family`` is one of lr | posdep | arbdep | pairwise-lr | pair, where the
-    last two consume the pairwise null CDF; ``template`` picks the base
-    constants for the rescaled families.
+    ``family`` is a key of ``constants.FAMILIES``; ``direction`` picks the
+    stepwise engine and ``template`` the base constants for the rescaled
+    and calibrated families.
     """
 
     name: str
@@ -131,25 +131,24 @@ class ProcedureSpec:
     family: str
     k: int = 1
     template: str = "lr"
-    uses_pairwise: bool = False
 
     def __post_init__(self):
         if self.direction not in ("su", "sd"):
             raise ValueError(f"direction must be su or sd, got {self.direction!r}")
+        if self.family not in cmod.FAMILIES:
+            raise ValueError(f"unknown constant family {self.family!r}")
+
+    @property
+    def uses_pairwise(self) -> bool:
+        return cmod.FAMILIES[self.family].pairwise
 
 
-# CLI tokens for --procedures, mapped to (family, direction, uses_pairwise).
+# CLI tokens for --procedures, mapped to (family, direction): a family with
+# its own direction is named as is, lr and thm34 as <family>-sd / <family>-su.
 PROCEDURE_TOKENS = {
-    "lr-sd": ("lr", "sd", False),
-    "lr-su": ("lr", "su", False),
-    "thm32": ("posdep", "sd", False),
-    "thm33": ("posdep", "su", False),
-    "thm34-sd": ("pairwise-lr", "sd", True),
-    "thm34-su": ("pairwise-lr", "su", True),
-    "thm35": ("arbdep", "sd", False),
-    "thm36": ("arbdep", "su", False),
-    "thm37": ("pair", "sd", True),
-    "thm38": ("pair", "su", True),
+    (name if fam.direction else f"{name}-{d}"): (name, d)
+    for name, fam in cmod.FAMILIES.items()
+    for d in ((fam.direction,) if fam.direction else ("sd", "su"))
 }
 
 
@@ -157,34 +156,16 @@ def build_procedure(token: str, k: int = 1, template: str = "lr") -> ProcedureSp
     if token not in PROCEDURE_TOKENS:
         raise ValueError(f"unknown procedure token {token!r}; "
                          f"known: {', '.join(sorted(PROCEDURE_TOKENS))}")
-    family, direction, pairwise = PROCEDURE_TOKENS[token]
+    family, direction = PROCEDURE_TOKENS[token]
     return ProcedureSpec(name=token, direction=direction, family=family,
-                         k=k, template=template, uses_pairwise=pairwise)
+                         k=k, template=template)
 
 
 def procedure_constants(spec: ProcedureSpec, n: int, gamma: Gamma, alpha: float,
                         F: PairwiseNull | None = None) -> CriticalConstants:
     """Resolve a procedure's critical constants (data-independent)."""
-    if spec.uses_pairwise and F is None:
-        raise ValueError(f"procedure {spec.name} needs a pairwise null model")
-    if spec.family == "lr":
-        return cmod.lr_constants(n, gamma, alpha).constants
-    if spec.family == "posdep":
-        tpl = cmod.make_template(spec.template, n, gamma=gamma).values(alpha)
-        fn = cmod.posdep_sd_report if spec.direction == "sd" else cmod.posdep_su_report
-        return fn(tpl, gamma, spec.k, alpha).constants
-    if spec.family == "arbdep":
-        tpl = cmod.make_template(spec.template, n, gamma=gamma).values(alpha)
-        fn = cmod.arbdep_sd_report if spec.direction == "sd" else cmod.arbdep_su_report
-        return fn(tpl, gamma, spec.k, alpha).constants
-    if spec.family == "pairwise-lr":
-        return cmod.pairwise_lr_report(n, gamma, spec.k, alpha, F).constants
-    if spec.family == "pair":
-        template = cmod.make_template(spec.template, n, gamma=gamma)
-        return cmod.calibrate_pair_scale(
-            spec.direction, template, gamma, spec.k, alpha, F
-        ).constants
-    raise ValueError(f"unknown constant family {spec.family!r}")
+    return cmod.family_report(spec.family, n, gamma, spec.k, alpha,
+                              template=spec.template, F=F).constants
 
 
 # ---------------------------------------------------------------------------
@@ -271,10 +252,7 @@ def run_cell(config: MonteCarloConfig, procedures) -> dict:
         p = two_sided_pvalues(z)
         for spec, constants, runner in resolved:
             res = annotate_truth(runner(p, constants), labels)
-            # exact rational exceedance test: V/R > gamma and V >= k
-            exceed[spec.name][rep] = (
-                res.v >= spec.k and res.v * gamma.den > res.r * gamma.num
-            )
+            exceed[spec.name][rep] = exceeds_gamma(res, spec.k, gamma)
             if n1 > 0:
                 power[spec.name][rep] = res.s / n1
     return {name: (exceed[name], power[name]) for name in exceed}

@@ -50,6 +50,13 @@ class TestConstantsCommand:
         assert code == 0
         assert any(r.startswith("beta_star,") for r in data_rows(out))
 
+    def test_calibrated_bound_does_not_exceed_alpha(self, capsys):
+        code, out, _ = run(capsys, "constants", "--family", "thm37", "--n", "10",
+                           "--gamma", "1/10", "--rho", "0.3")
+        assert code == 0
+        scale = [r for r in data_rows(out) if r.startswith("C,")]
+        assert len(scale) == 1 and float(scale[0].split(",")[1]) <= 0.05
+
     def test_decimal_gamma_warns(self, capsys):
         code, _, err = run(capsys, "constants", "--family", "lr", "--n", "5",
                            "--gamma", "0.1")

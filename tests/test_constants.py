@@ -1,13 +1,16 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from fdpctl import constants as cmod
-from fdpctl import oracle
+from fdpctl import oracle, simlab
 from fdpctl.core import Gamma
 from fdpctl.pairdist import (ComonotonePairs, EquicorrelatedPairs,
-                             IndependentPairs)
+                             IndependentPairs, PairwiseNull)
 
 G10 = Gamma(1, 10)
 G4 = Gamma(1, 4)
@@ -200,6 +203,91 @@ class TestMarginalFamilies:
         assert capped.worst_n0 <= 4
 
 
+@st.composite
+def marginal_problems(draw):
+    """(n, gamma, k, template kind, custom base values), n <= 12, gamma <= 1/2."""
+    n = draw(st.integers(1, 12))
+    den = draw(st.integers(2, 20))
+    gamma = Gamma(draw(st.integers(0, den // 2)), den)
+    k = draw(st.integers(1, n))
+    kind = draw(st.sampled_from(["lr", "bh", "gbs", "custom"]))
+    custom = None
+    if kind == "custom":
+        custom = sorted(draw(st.lists(st.floats(0.01, 1.0), min_size=n,
+                                      max_size=n)))
+    return n, gamma, k, kind, custom
+
+
+class TestMarginalDifferential:
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(marginal_problems())
+    @example((12, Gamma(1, 2), 1, "lr", None))
+    @example((9, Gamma(1, 2), 4, "custom", [0.1] * 4 + [0.5] * 5))
+    def test_reports_and_bounds_match_naive_twins(self, problem):
+        n, g, k, kind, custom = problem
+        tpl = cmod.make_template(kind, n, gamma=g, custom=custom).values(0.05)
+        pairs = ((cmod.posdep_sd_report, oracle.naive_posdep_sd_scale),
+                 (cmod.posdep_su_report, oracle.naive_posdep_su_scale),
+                 (cmod.arbdep_sd_report, oracle.naive_arbdep_sd_scale),
+                 (cmod.arbdep_su_report, oracle.naive_arbdep_su_scale))
+        for report, naive in pairs:
+            # a small alpha keeps steep custom templates below 1 after rescaling
+            got = report(tpl, g, k, 1e-4).scale
+            assert got == pytest.approx(naive(tpl, n, g, k), rel=1e-12)
+        assert cmod.sd_marginal_bound(tpl, g) == pytest.approx(
+            oracle.naive_arbdep_sd_scale(tpl, n, g, 1), rel=1e-12)
+        assert cmod.su_marginal_bound(tpl, g) == pytest.approx(
+            oracle.naive_arbdep_su_scale(tpl, n, g, 1), rel=1e-12)
+
+
+class TestFamilyRegistry:
+    N, K, ALPHA = 12, 2, 0.05
+    F = EquicorrelatedPairs(0.3)
+
+    def direct(self, family, template):
+        n, k, alpha, F = self.N, self.K, self.ALPHA, self.F
+        tmpl = cmod.make_template(template, n, gamma=G10)
+        tpl = tmpl.values(alpha)
+        builders = {
+            "lr": lambda: cmod.lr_constants(n, G10, alpha),
+            "thm32": lambda: cmod.posdep_sd_report(tpl, G10, k, alpha),
+            "thm33": lambda: cmod.posdep_su_report(tpl, G10, k, alpha),
+            "thm34": lambda: cmod.pairwise_lr_report(n, G10, k, alpha, F),
+            "thm35": lambda: cmod.arbdep_sd_report(tpl, G10, k, alpha),
+            "thm36": lambda: cmod.arbdep_su_report(tpl, G10, k, alpha),
+            "thm37": lambda: cmod.calibrate_pair_scale("sd", tmpl, G10, k,
+                                                       alpha, F),
+            "thm38": lambda: cmod.calibrate_pair_scale("su", tmpl, G10, k,
+                                                       alpha, F),
+        }
+        assert set(builders) == set(cmod.FAMILIES)
+        return builders[family]().constants.values
+
+    @pytest.mark.parametrize("template", ["lr", "bh"])
+    def test_family_report_matches_direct_call(self, template):
+        for family in cmod.FAMILIES:
+            got = cmod.family_report(family, self.N, G10, self.K, self.ALPHA,
+                                     template=template, F=self.F)
+            assert np.array_equal(got.constants.values,
+                                  self.direct(family, template))
+
+    def test_procedure_tokens_resolve_through_registry(self):
+        for token, (family, direction) in simlab.PROCEDURE_TOKENS.items():
+            spec = simlab.build_procedure(token, k=self.K, template="bh")
+            assert spec.family == family and spec.direction == direction
+            assert cmod.FAMILIES[family].direction in (None, direction)
+            assert spec.uses_pairwise == cmod.FAMILIES[family].pairwise
+            got = simlab.procedure_constants(spec, self.N, G10, self.ALPHA,
+                                             F=self.F)
+            assert np.array_equal(got.values, self.direct(family, "bh"))
+
+    def test_unknown_family_and_missing_model(self):
+        with pytest.raises(ValueError, match="unknown constants family"):
+            cmod.family_report("thm99", 10, G10, 1, 0.05)
+        with pytest.raises(ValueError, match="pairwise null model"):
+            cmod.family_report("thm37", 10, G10, 1, 0.05)
+
+
 class TestPairwiseLr:
     def test_independence_hand_expansion(self):
         # with F(u|v) = u the inner bracket telescopes to
@@ -233,6 +321,16 @@ class TestPairwiseLr:
     def test_k1_rejected(self):
         with pytest.raises(ValueError, match="k >= 2"):
             cmod.pairwise_lr_report(10, G10, 1, 0.05, IndependentPairs())
+
+    def test_degenerate_model_rejected(self):
+        class Countermonotone(PairwiseNull):
+            def cdf(self, u, v):
+                return np.maximum(np.asarray(u) + np.asarray(v) - 1.0, 0.0)
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="no lower-tail mass"):
+                cmod.pairwise_lr_report(10, G10, 2, 0.05, Countermonotone())
 
 
 class TestPairBounds:
@@ -281,6 +379,7 @@ class TestCalibration:
     def test_linear_functional_closed_form(self):
         beta = cmod.bisect_scale(lambda b: 3.0 * b, 0.05)
         assert beta == pytest.approx(0.05 / 3.0, abs=1e-9)
+        assert 3.0 * beta <= 0.05
 
     def test_unattainable_target(self):
         with pytest.raises(cmod.CalibrationError, match="unattainable"):
@@ -296,7 +395,7 @@ class TestCalibration:
         for d in ("sd", "su"):
             rep = cmod.calibrate_pair_scale(d, tmpl, G10, 1, 0.05,
                                             IndependentPairs())
-            assert abs(rep.scale - 0.05) <= 1e-9
+            assert 0.05 - 1e-9 <= rep.scale <= 0.05
             assert 0.0 < rep.beta_star < 1.0
             # constants are the template at beta*, flattened at k
             expect = tmpl.values(rep.beta_star)[1:]
