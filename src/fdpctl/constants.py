@@ -439,19 +439,19 @@ def pairwise_lr_report(n: int, gamma: Gamma, k: int, alpha: float,
 # ---------------------------------------------------------------------------
 # pairwise-aware bounds under arbitrary dependence, and their calibration
 
-class _PairGrid:
-    """F evaluated on all pairs of one template vector, chunked and cached."""
+# points per F.cdf call in _pair_matrix; bounds the kernel's temporaries
+_PAIR_CHUNK = 65536
 
-    def __init__(self, F: PairwiseNull, tpl: np.ndarray, chunk: int = 65536):
-        u = tpl[:, None]
-        v = tpl[None, :]
-        flat_u = np.broadcast_to(u, (tpl.size, tpl.size)).ravel()
-        flat_v = np.broadcast_to(v, (tpl.size, tpl.size)).ravel()
-        out = np.empty(flat_u.size)
-        for lo in range(0, flat_u.size, chunk):
-            hi = lo + chunk
-            out[lo:hi] = np.asarray(F.cdf(flat_u[lo:hi], flat_v[lo:hi]))
-        self.matrix = out.reshape(tpl.size, tpl.size)
+
+def _pair_matrix(F: PairwiseNull, tpl: np.ndarray) -> np.ndarray:
+    """F(tpl[i], tpl[j]) for all pairs, evaluated in chunks of _PAIR_CHUNK."""
+    flat_u = np.broadcast_to(tpl[:, None], (tpl.size, tpl.size)).ravel()
+    flat_v = np.broadcast_to(tpl[None, :], (tpl.size, tpl.size)).ravel()
+    out = np.empty(flat_u.size)
+    for lo in range(0, flat_u.size, _PAIR_CHUNK):
+        hi = lo + _PAIR_CHUNK
+        out[lo:hi] = np.asarray(F.cdf(flat_u[lo:hi], flat_v[lo:hi]))
+    return out.reshape(tpl.size, tpl.size)
 
 
 def pair_sd_bound(template: Template, gamma: Gamma, k: int, F: PairwiseNull,
@@ -465,7 +465,7 @@ def pair_sd_bound(template: Template, gamma: Gamma, k: int, F: PairwiseNull,
     """
     n = template.n
     tpl = template.values(beta)
-    grid = _PairGrid(F, tpl)
+    grid = _pair_matrix(F, tpl)
     f_all = _floor_odds_plus1(n, gamma)
     split = {}
 
@@ -475,7 +475,7 @@ def pair_sd_bound(template: Template, gamma: Gamma, k: int, F: PairwiseNull,
         av = tpl[mbar]
         prefix = _sd_marginal_prefix(av, k, n0)          # A[0..M]
         iok = np.maximum(np.arange(1, m_cap + 1), k)
-        fdiag = grid.matrix[mbar, mbar]                  # F(av_i, av_i), 0..M
+        fdiag = grid[mbar, mbar]                         # F(av_i, av_i), 0..M
         denom = np.where(iok >= 2, iok * (iok - 1), 1)
         pd = np.where(iok >= 2,
                       n0 * (n0 - 1) * np.diff(fdiag) / denom, 0.0)
@@ -488,7 +488,7 @@ def pair_sd_bound(template: Template, gamma: Gamma, k: int, F: PairwiseNull,
             k1 = np.maximum(kb + 1, k)
             expr[:-1] += (
                 n0 * (n0 - 1) * fdiag[kb + 1] / (k1 * (k1 - 1))
-                - n0 * grid.matrix[mbar[kb], mbar[kb + 1]] / k1
+                - n0 * grid[mbar[kb], mbar[kb + 1]] / k1
             )
         j = int(np.argmin(expr))
         split[n0] = j + 1
@@ -509,7 +509,7 @@ def pair_su_bound(template: Template, gamma: Gamma, k: int, F: PairwiseNull,
     """
     n = template.n
     tpl = template.values(beta)
-    grid = _PairGrid(F, tpl)
+    grid = _pair_matrix(F, tpl)
     raw = _su_rank_raw(n, gamma)
     split = {}
 
@@ -520,7 +520,7 @@ def pair_su_bound(template: Template, gamma: Gamma, k: int, F: PairwiseNull,
         r = np.arange(1, n0 + 1)
         head = n0 * d / r
         pref = np.concatenate([[0.0], np.cumsum(head)])  # pref[j] = sum_{r<=j}
-        fmm = grid.matrix[np.ix_(mt, mt)]
+        fmm = grid[np.ix_(mt, mt)]
         rect = fmm[1:, 1:] - fmm[:-1, 1:] - fmm[1:, :-1] + fmm[:-1, :-1]
         w = rect / r[None, :]
         tail_w = np.concatenate(
@@ -647,10 +647,15 @@ FAMILIES = {
 def family_report(family: str, n: int, gamma: Gamma, k: int, alpha: float,
                   template: str = "lr", F: PairwiseNull | None = None,
                   n0_max: int | None = None) -> ConstantsReport:
-    """Build one ``FAMILIES`` entry; lr and thm34 ignore ``template``."""
+    """Build one ``FAMILIES`` entry; lr and thm34 ignore ``template``.
+
+    Every family needs 1 <= k <= n, also those that do not use k.
+    """
     if family not in FAMILIES:
         raise ValueError(f"unknown constants family {family!r}; "
                          f"known: {', '.join(FAMILIES)}")
+    if not 1 <= k <= n:
+        raise ValueError(f"need 1 <= k <= n, got n={n}, k={k}")
     fam = FAMILIES[family]
     if fam.pairwise and F is None:
         raise ValueError(f"family {family} needs a pairwise null model")

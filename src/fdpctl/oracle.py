@@ -27,9 +27,11 @@ from functools import lru_cache
 
 import numpy as np
 
+from . import constants as cmod
 from .core import CriticalConstants, Gamma, TruthLabels, exceeds_gamma
 from .engine import annotate_truth, step_down, step_up
-from .pairdist import PairwiseNull
+from .pairdist import (ComonotonePairs, EquicorrelatedPairs, IndependentPairs,
+                       PairwiseNull, bvn_cdf, validate_pairwise)
 
 __all__ = [
     "SmallInstance",
@@ -437,6 +439,25 @@ class SuiteReport:
             first_failure=failures[0] if failures else None, elapsed=elapsed,
         ))
 
+    def run(self, name, outcomes):
+        """Check one row and append it.
+
+        ``outcomes`` yields one item per instance: its failure message, or
+        None when the instance passes.  Every failing instance counts as a
+        violation; the first message is kept.
+        """
+        start = time.perf_counter()
+        instances = violations = 0
+        first = None
+        for msg in outcomes:
+            instances += 1
+            if msg is not None:
+                violations += 1
+                if first is None:
+                    first = msg
+        self.rows.append(SuiteRow(name, instances, violations, first,
+                                  time.perf_counter() - start))
+
 
 @lru_cache(maxsize=None)
 def _spread_constants(n: int) -> tuple:
@@ -452,18 +473,6 @@ def _exhaustive_instances(n: int, gamma: Gamma, k: int):
         for labels in labelings:
             yield SmallInstance(p=p, is_null=labels, constants=constants,
                                 gamma=gamma, k=k)
-
-
-def _run_check(report, name, instances, check):
-    start = time.perf_counter()
-    failures = []
-    count = 0
-    for inst in instances:
-        count += 1
-        msg = check(inst)
-        if msg is not None and len(failures) < 5:
-            failures.append(msg)
-    report.add(name, count, failures, time.perf_counter() - start)
 
 
 def _fuzz_instances(count: int, rng, n_max: int = 8):
@@ -485,6 +494,19 @@ def _fuzz_instances(count: int, rng, n_max: int = 8):
         )
 
 
+def _order_stat_outcomes(count: int, rng):
+    """Markov check per draw, plus the pairwise one when n0 >= 2."""
+    lattice = p_lattice()
+    for _ in range(count):
+        n0 = int(rng.integers(1, 9))
+        nulls = rng.uniform(size=n0)
+        i = int(rng.integers(1, n0 + 1))
+        t = float(lattice[int(rng.integers(len(lattice)))])
+        yield check_order_stat_markov(nulls, i, t)
+        if n0 >= 2:
+            yield check_order_stat_pairwise(nulls, max(i, 2), t)
+
+
 def _lemma_suite(report: SuiteReport, fuzz_count: int, seed: int):
     gammas = (Gamma(1, 10), Gamma(1, 4))
     combos = [(g, k) for g in gammas for k in (1, 2, 3)]
@@ -493,147 +515,94 @@ def _lemma_suite(report: SuiteReport, fuzz_count: int, seed: int):
                         (check_su_exceedance_bound, "stepup_exceedance_bound")):
         insts = (inst for n in (2, 3, 4) for g, k in combos
                  for inst in _exhaustive_instances(n, g, k))
-        _run_check(report, f"{name}[exhaustive]", insts, check)
+        report.run(f"{name}[exhaustive]", map(check, insts))
     # the containment event does not involve k, so one sweep per gamma
     insts = (inst for n in (2, 3, 4) for g in gammas
              for inst in _exhaustive_instances(n, g, 1))
-    _run_check(report, "exceedance_containment[exhaustive]", insts,
-               check_exceedance_containment)
+    report.run("exceedance_containment[exhaustive]",
+               map(check_exceedance_containment, insts))
 
     rng = np.random.default_rng(seed)
     for check, name in ((check_sd_exceedance_bound, "stepdown_exceedance_bound"),
                         (check_su_exceedance_bound, "stepup_exceedance_bound"),
                         (check_exceedance_containment, "exceedance_containment")):
-        _run_check(report, f"{name}[fuzz]", _fuzz_instances(fuzz_count, rng), check)
+        report.run(f"{name}[fuzz]", map(check, _fuzz_instances(fuzz_count, rng)))
 
-    lattice = p_lattice()
-    start = time.perf_counter()
-    failures, count = [], 0
-    rng = np.random.default_rng(seed + 1)
-    for _ in range(fuzz_count):
-        n0 = int(rng.integers(1, 9))
-        nulls = rng.uniform(size=n0)
-        i = int(rng.integers(1, n0 + 1))
-        t = float(lattice[int(rng.integers(len(lattice)))])
-        count += 1
-        msg = check_order_stat_markov(nulls, i, t)
-        if msg and len(failures) < 5:
-            failures.append(msg)
-        if n0 >= 2:
-            count += 1
-            msg = check_order_stat_pairwise(nulls, max(i, 2), t)
-            if msg and len(failures) < 5:
-                failures.append(msg)
-    report.add("order_stat_bounds[fuzz]", count, failures,
-               time.perf_counter() - start)
-
-    start = time.perf_counter()
-    failures, count = [], 0
-    for g, _ in combos:
-        for n in range(1, 13):
-            for n0 in range(1, n + 1):
-                count += 1
-                msg = check_level_identity(n, n0, g) or check_rank_inequality(n, n0, g)
-                if msg and len(failures) < 5:
-                    failures.append(msg)
-    report.add("index_map_identities", count, failures,
-               time.perf_counter() - start)
+    report.run("order_stat_bounds[fuzz]",
+               _order_stat_outcomes(fuzz_count, np.random.default_rng(seed + 1)))
+    report.run("index_map_identities",
+               (check_level_identity(n, n0, g) or check_rank_inequality(n, n0, g)
+                for g, _ in combos for n in range(1, 13) for n0 in range(1, n + 1)))
 
 
-def _constants_suite(report: SuiteReport):
-    from . import constants as cmod
-    from .pairdist import EquicorrelatedPairs, IndependentPairs
+def _mismatch(got, want, what):
+    """None when got equals want to 1e-12 relative, else a message."""
+    if abs(got - want) > 1e-12 * abs(want):
+        return f"{what}: {got!r} vs {want!r}"
+    return None
 
-    start = time.perf_counter()
-    failures, count = [], 0
+
+def _scale_identity_outcomes():
+    """The LR template rescaled by thm32/thm33 at k = 1 has scale alpha."""
     for g in (Gamma(1, 20), Gamma(1, 10), Gamma(1, 4), Gamma(3, 10)):
         for n in range(2, 41):
             tpl = cmod.lr_template(n, g, 0.05)
-            count += 2
             for fn, tag in ((cmod.posdep_sd_report, "sd"),
                             (cmod.posdep_su_report, "su")):
-                c = fn(tpl, g, 1, 0.05).scale
-                if abs(c - 0.05) > 1e-12 * 0.05 and len(failures) < 5:
-                    failures.append(f"lr scale identity fails ({tag}, n={n}, "
-                                    f"gamma={g}): {c!r}")
-    report.add("lr_scale_identity", count, failures, time.perf_counter() - start)
+                yield _mismatch(fn(tpl, g, 1, 0.05).scale, 0.05,
+                                f"lr scale identity fails ({tag}, n={n}, gamma={g})")
 
-    start = time.perf_counter()
-    failures, count = [], 0
+
+def _dual_outcomes():
+    """Each optimized constant family against its literal-loop twin."""
     cells = [(n, g, k) for n in (5, 8, 12)
              for g in (Gamma(1, 10), Gamma(1, 4)) for k in (1, 2, 3)]
     for n, g, k in cells:
         for kind in ("lr", "bh", "gbs"):
             tpl = cmod.make_template(kind, n, gamma=g).values(0.05)
-            pairs = [
-                (cmod.posdep_sd_report(tpl, g, k, 0.05).scale,
-                 naive_posdep_sd_scale(tpl, n, g, k)),
-                (cmod.posdep_su_report(tpl, g, k, 0.05).scale,
-                 naive_posdep_su_scale(tpl, n, g, k)),
-                (cmod.arbdep_sd_report(tpl, g, k, 0.05).scale,
-                 naive_arbdep_sd_scale(tpl, n, g, k)),
-                (cmod.arbdep_su_report(tpl, g, k, 0.05).scale,
-                 naive_arbdep_su_scale(tpl, n, g, k)),
-            ]
-            for got, want in pairs:
-                count += 1
-                if abs(got - want) > 1e-12 * abs(want) and len(failures) < 5:
-                    failures.append(f"scale mismatch n={n} gamma={g} k={k} "
-                                    f"{kind}: {got!r} vs {want!r}")
+            what = f"scale mismatch n={n} gamma={g} k={k} {kind}"
+            for opt, naive in ((cmod.posdep_sd_report, naive_posdep_sd_scale),
+                               (cmod.posdep_su_report, naive_posdep_su_scale),
+                               (cmod.arbdep_sd_report, naive_arbdep_sd_scale),
+                               (cmod.arbdep_su_report, naive_arbdep_su_scale)):
+                yield _mismatch(opt(tpl, g, k, 0.05).scale,
+                                naive(tpl, n, g, k), what)
     for n, g, k in cells:
         for F in (IndependentPairs(), EquicorrelatedPairs(0.5)):
             if k >= 2:
-                count += 1
-                got = cmod.pairwise_lr_report(n, g, k, 0.05, F).scale
-                want = naive_pairwise_lr_scale(n, k, 0.05, F)
-                if abs(got - want) > 1e-12 * abs(want) and len(failures) < 5:
-                    failures.append(f"pairwise scale mismatch n={n} k={k} "
-                                    f"{F.name}: {got!r} vs {want!r}")
+                yield _mismatch(cmod.pairwise_lr_report(n, g, k, 0.05, F).scale,
+                                naive_pairwise_lr_scale(n, k, 0.05, F),
+                                f"pairwise scale mismatch n={n} k={k} {F.name}")
             template = cmod.make_template("lr", n, gamma=g)
             for beta in (0.02, 0.05):
                 for opt, naive in ((cmod.pair_sd_bound, naive_pair_sd_bound),
                                    (cmod.pair_su_bound, naive_pair_su_bound)):
-                    count += 1
-                    got = opt(template, g, k, F, beta).value
-                    want = naive(template, g, k, F, beta)
-                    if abs(got - want) > 1e-12 * abs(want) and len(failures) < 5:
-                        failures.append(f"pair bound mismatch n={n} gamma={g} "
-                                        f"k={k} {F.name} beta={beta}: "
-                                        f"{got!r} vs {want!r}")
-    report.add("dual_implementation_equivalence", count, failures,
-               time.perf_counter() - start)
+                    yield _mismatch(opt(template, g, k, F, beta).value,
+                                    naive(template, g, k, F, beta),
+                                    f"pair bound mismatch n={n} gamma={g} "
+                                    f"k={k} {F.name} beta={beta}")
 
 
-def _pairdist_suite(report: SuiteReport):
-    import math
-
-    from .pairdist import (ComonotonePairs, EquicorrelatedPairs,
-                           IndependentPairs, bvn_cdf, validate_pairwise)
-
-    start = time.perf_counter()
-    failures, count = [], 0
-    count += 1
-    if abs(bvn_cdf(0.0, 0.0, 0.5) - 1.0 / 3.0) > 1e-9:
-        failures.append("quadrant probability at rho=1/2 is off")
+def _pairdist_outcomes():
+    """Kernel identities of bvn_cdf and validity of the built-in models."""
+    err = abs(bvn_cdf(0.0, 0.0, 0.5) - 1.0 / 3.0)
+    yield "quadrant probability at rho=1/2 is off" if err > 1e-9 else None
     rng = np.random.default_rng(7)
     for _ in range(200):
         a, b = rng.normal(size=2) * 2
         rho = float(rng.uniform(-0.99, 0.99))
-        count += 1
         resid = bvn_cdf(a, b, rho) + bvn_cdf(-a, b, -rho) - 0.5 * math.erfc(-b / math.sqrt(2))
-        if abs(resid) > 1e-9 and len(failures) < 5:
-            failures.append(f"reflection identity off by {resid:.2e} at "
-                            f"a={a}, b={b}, rho={rho}")
+        yield (f"reflection identity off by {resid:.2e} at a={a}, b={b}, rho={rho}"
+               if abs(resid) > 1e-9 else None)
     for model in (IndependentPairs(), ComonotonePairs(),
                   EquicorrelatedPairs(0.0), EquicorrelatedPairs(0.1),
                   EquicorrelatedPairs(0.5), EquicorrelatedPairs(0.9)):
-        count += 1
         try:
             validate_pairwise(model, grid=21, tol=1e-8)
         except ValueError as exc:
-            if len(failures) < 5:
-                failures.append(str(exc))
-    report.add("pairwise_kernel", count, failures, time.perf_counter() - start)
+            yield str(exc)
+        else:
+            yield None
 
 
 def run_suite(suites=("lemmas", "constants", "pairdist"), fuzz_count: int = 100_000,
@@ -643,7 +612,8 @@ def run_suite(suites=("lemmas", "constants", "pairdist"), fuzz_count: int = 100_
     if "lemmas" in suites:
         _lemma_suite(report, fuzz_count, seed)
     if "constants" in suites:
-        _constants_suite(report)
+        report.run("lr_scale_identity", _scale_identity_outcomes())
+        report.run("dual_implementation_equivalence", _dual_outcomes())
     if "pairdist" in suites:
-        _pairdist_suite(report)
+        report.run("pairwise_kernel", _pairdist_outcomes())
     return report

@@ -39,6 +39,17 @@ class TestConstantsCommand:
                            "--n", "10", "--gamma", "1/10", "--rho", "0.5")
         assert code == 1 and "k >= 2" in err
 
+    @pytest.mark.parametrize("argv", [
+        ("--family", "thm32", "--n", "-3"),
+        ("--family", "thm37", "--n", "-3", "--rho", "0.3"),
+        ("--family", "thm32", "--n", "10", "--k", "0"),
+        ("--family", "thm37", "--n", "10", "--k", "0", "--rho", "0.3"),
+        ("--family", "thm33", "--n", "5", "--k", "6"),
+    ])
+    def test_k_outside_one_to_n_is_usage_error(self, capsys, argv):
+        code, _, err = run(capsys, "constants", "--gamma", "1/10", *argv)
+        assert code == 1 and "need 1 <= k <= n" in err
+
     def test_pairwise_family_without_model_is_usage_error(self, capsys):
         code, _, err = run(capsys, "constants", "--family", "thm37", "--n", "8",
                            "--gamma", "1/10")
@@ -191,6 +202,12 @@ class TestSimulateCommand:
                            "--n", "10", "--pi0", "0.5", "--rho", "0",
                            "--gamma", "1/10")
         assert code == 1 and "unknown procedure" in err
+
+    def test_k_zero_is_usage_error(self, capsys):
+        code, _, err = run(capsys, "simulate", "--procedures", "thm32",
+                           "--n", "10", "--gamma", "1/10", "--k", "0",
+                           "--reps", "5")
+        assert code == 1 and "need 1 <= k <= n" in err
 
 
 class TestVerifyCommand:

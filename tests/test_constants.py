@@ -195,6 +195,10 @@ class TestMarginalFamilies:
         with pytest.raises(ValueError, match="degenerate"):
             cmod.posdep_sd_report(np.zeros(11), G10, 1, 0.05)
 
+    def test_worst_n0_is_first_argmax(self):
+        values = {1: 1.0, 2: 3.0, 3: 3.0, 4: 2.0}
+        assert cmod._worst_over_n0(values.__getitem__, 4, 1, None) == (3.0, 2)
+
     def test_n0_cap(self):
         tpl = cmod.make_template("bh", 10).values(0.05)
         capped = cmod.posdep_sd_report(tpl, G10, 1, 0.05, n0_max=4)
@@ -287,6 +291,12 @@ class TestFamilyRegistry:
         with pytest.raises(ValueError, match="pairwise null model"):
             cmod.family_report("thm37", 10, G10, 1, 0.05)
 
+    @pytest.mark.parametrize("n, k", [(0, 1), (10, 0), (5, 6)])
+    def test_k_outside_one_to_n_rejected(self, n, k):
+        for family in cmod.FAMILIES:
+            with pytest.raises(ValueError, match="need 1 <= k <= n"):
+                cmod.family_report(family, n, G10, k, 0.05, F=self.F)
+
 
 class TestPairwiseLr:
     def test_independence_hand_expansion(self):
@@ -369,7 +379,7 @@ class TestPairBounds:
         # under independence the rectangle mass factorizes into increments
         tmpl = cmod.make_template("bh", 5)
         vals = tmpl.values(0.4)
-        grid = cmod._PairGrid(IndependentPairs(), vals).matrix
+        grid = cmod._pair_matrix(IndependentPairs(), vals)
         rect = grid[1:, 1:] - grid[:-1, 1:] - grid[1:, :-1] + grid[:-1, :-1]
         d = np.diff(vals)
         assert np.allclose(rect, np.outer(d, d), rtol=1e-12, atol=1e-18)

@@ -102,9 +102,18 @@ class TestSuite:
     def test_fuzz_slice(self):
         report = oracle.SuiteReport()
         rng = np.random.default_rng(0)
-        oracle._run_check(report, "fuzz", oracle._fuzz_instances(300, rng),
-                          oracle.check_su_exceedance_bound)
+        report.run("fuzz", map(oracle.check_su_exceedance_bound,
+                               oracle._fuzz_instances(300, rng)))
         assert report.ok and report.rows[0].instances == 300
+
+    def test_run_counts_every_violation(self):
+        report = oracle.SuiteReport()
+        outcomes = [f"failure {i}" for i in range(8)] + [None]
+        report.run("row", iter(outcomes))
+        row = report.rows[0]
+        assert (row.name, row.instances, row.violations) == ("row", 9, 8)
+        assert row.first_failure == "failure 0"
+        assert not report.ok
 
     def test_rows_record_elapsed(self, monkeypatch):
         # empty exhaustive grids keep this fast; every row is still timed
