@@ -385,6 +385,38 @@ class TestPairBounds:
         assert np.allclose(rect, np.outer(d, d), rtol=1e-12, atol=1e-18)
 
 
+@st.composite
+def pair_problems(draw):
+    """marginal_problems at n <= 9, plus a pairwise model and a scale beta."""
+    n, gamma, k, kind, custom = draw(marginal_problems().filter(
+        lambda p: p[0] <= 9))
+    model = draw(st.sampled_from(["independence", "comonotone", "equicorr"]))
+    if model == "independence":
+        F = IndependentPairs()
+    elif model == "comonotone":
+        F = ComonotonePairs()
+    else:
+        F = EquicorrelatedPairs(draw(st.floats(-0.9, 0.95, exclude_min=True,
+                                               exclude_max=True)))
+    beta = draw(st.floats(0.005, 0.5))
+    return n, gamma, k, kind, custom, F, beta
+
+
+class TestPairDifferential:
+    @settings(max_examples=120, deadline=None, derandomize=True, database=None)
+    @given(pair_problems())
+    @example((9, Gamma(1, 2), 1, "lr", None, EquicorrelatedPairs(0.5), 0.05))
+    @example((9, Gamma(1, 2), 3, "custom", [0.1] * 4 + [0.5] * 5,
+              ComonotonePairs(), 0.3))
+    def test_pair_bounds_match_naive_twins(self, problem):
+        n, g, k, kind, custom, F, beta = problem
+        tmpl = cmod.make_template(kind, n, gamma=g, custom=custom)
+        for bound, naive in ((cmod.pair_sd_bound, oracle.naive_pair_sd_bound),
+                             (cmod.pair_su_bound, oracle.naive_pair_su_bound)):
+            got = bound(tmpl, g, k, F, beta).value
+            assert got == pytest.approx(naive(tmpl, g, k, F, beta), rel=1e-12)
+
+
 class TestCalibration:
     def test_linear_functional_closed_form(self):
         beta = cmod.bisect_scale(lambda b: 3.0 * b, 0.05)
