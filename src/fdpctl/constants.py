@@ -6,7 +6,7 @@ template by a worst-case constant obtained by enumerating the unknown
 number of true nulls n0; the pairwise-aware families additionally consume
 the common joint CDF F(u, v) of two null p-values, either to inflate the
 Lehmann-Romano constants directly or through a scale calibration that
-solves bound(beta) = alpha by bisection.
+solves bound(beta) = alpha.
 
 Combinatorial index maps
 ------------------------
@@ -244,7 +244,6 @@ class ConstantsReport:
     scale: float | None = None      # worst-case rescaling constant
     worst_n0: int | None = None     # n0 attaining the maximum
     beta_star: float | None = None  # calibrated template scale
-    split_by_n0: dict | None = None  # chosen split point K per n0
 
 
 @dataclass(frozen=True)
@@ -253,16 +252,22 @@ class BoundValue:
 
     value: float
     worst_n0: int
-    split_by_n0: dict
+
+
+def _n0_range(n: int, k: int, n0_max: int | None) -> range:
+    """n0 in [k, min(n, n0_max)], after checking 1 <= k <= n."""
+    if not 1 <= k <= n:
+        raise ValueError(f"need 1 <= k <= n, got n={n}, k={k}")
+    hi = n if n0_max is None else min(n, n0_max)
+    if hi < k:
+        raise ValueError(f"empty n0 range: k={k}, n0_max={hi}")
+    return range(k, hi + 1)
 
 
 def _worst_over_n0(value_at, n: int, k: int, n0_max: int | None):
     """(max of value_at(n0) over n0 in [k, min(n, n0_max)], first argmax)."""
-    hi = n if n0_max is None else min(n, n0_max)
-    if hi < k:
-        raise ValueError(f"empty n0 range: k={k}, n0_max={hi}")
     best, best_n0 = -np.inf, -1
-    for n0 in range(k, hi + 1):
+    for n0 in _n0_range(n, k, n0_max):
         val = value_at(n0)
         if val > best:
             best, best_n0 = val, n0
@@ -408,8 +413,6 @@ def pairwise_lr_report(n: int, gamma: Gamma, k: int, alpha: float,
     """
     if k < 2:
         raise ValueError("the pairwise generalization needs k >= 2")
-    if k > n:
-        raise ValueError(f"need k <= n, got k={k}, n={n}")
 
     def value_at(n0):
         b = np.arange(n0 + 1) * (alpha / n0)
@@ -465,17 +468,26 @@ def pair_sd_bound(template: Template, gamma: Gamma, k: int, F: PairwiseNull,
     """
     n = template.n
     tpl = template.values(beta)
-    grid = _pair_matrix(F, tpl)
     f_all = _floor_odds_plus1(n, gamma)
-    split = {}
+    n0s = _n0_range(n, k, n0_max)
+    mbars = [_sd_rank(n0, n - n0, k, f_all) for n0 in n0s]
+    # F is read only at (mbar_i, mbar_i), i = 0..M, and (mbar_i, mbar_{i+1}),
+    # i = 1..M-1: one F.cdf call on the distinct rank pairs of all n0
+    rows = np.concatenate([np.concatenate([m, m[1:-1]]) for m in mbars])
+    cols = np.concatenate([np.concatenate([m, m[2:]]) for m in mbars])
+    keys, where = np.unique(rows * (n + 1) + cols, return_inverse=True)
+    fvals = np.asarray(F.cdf(tpl[keys // (n + 1)], tpl[keys % (n + 1)]),
+                       dtype=float)[where]
+    fparts = np.split(fvals, np.cumsum([2 * m.size - 2 for m in mbars])[:-1])
 
     def value_at(n0):
-        mbar = _sd_rank(n0, n - n0, k, f_all)
+        mbar = mbars[n0 - k]
         m_cap = mbar.size - 1
+        fdiag = fparts[n0 - k][:m_cap + 1]               # F(av_i, av_i), 0..M
+        fnext = fparts[n0 - k][m_cap + 1:]               # F(av_K, av_K+1)
         av = tpl[mbar]
         prefix = _sd_marginal_prefix(av, k, n0)          # A[0..M]
         iok = np.maximum(np.arange(1, m_cap + 1), k)
-        fdiag = grid[mbar, mbar]                         # F(av_i, av_i), 0..M
         denom = np.where(iok >= 2, iok * (iok - 1), 1)
         pd = np.where(iok >= 2,
                       n0 * (n0 - 1) * np.diff(fdiag) / denom, 0.0)
@@ -488,14 +500,11 @@ def pair_sd_bound(template: Template, gamma: Gamma, k: int, F: PairwiseNull,
             k1 = np.maximum(kb + 1, k)
             expr[:-1] += (
                 n0 * (n0 - 1) * fdiag[kb + 1] / (k1 * (k1 - 1))
-                - n0 * grid[mbar[kb], mbar[kb + 1]] / k1
+                - n0 * fnext / k1
             )
-        j = int(np.argmin(expr))
-        split[n0] = j + 1
-        return float(expr[j])
+        return float(expr.min())
 
-    best, best_n0 = _worst_over_n0(value_at, n, k, n0_max)
-    return BoundValue(value=best, worst_n0=best_n0, split_by_n0=split)
+    return BoundValue(*_worst_over_n0(value_at, n, k, n0_max))
 
 
 def pair_su_bound(template: Template, gamma: Gamma, k: int, F: PairwiseNull,
@@ -511,7 +520,6 @@ def pair_su_bound(template: Template, gamma: Gamma, k: int, F: PairwiseNull,
     tpl = template.values(beta)
     grid = _pair_matrix(F, tpl)
     raw = _su_rank_raw(n, gamma)
-    split = {}
 
     def value_at(n0):
         mt = _su_rank(n0, n - n0, raw)
@@ -532,29 +540,32 @@ def pair_su_bound(template: Template, gamma: Gamma, k: int, F: PairwiseNull,
         tail = np.concatenate([np.cumsum(row[::-1])[::-1], [0.0]])
         kk = np.arange(k, n0 + 1)
         expr = n0 * av[k - 1] / k + (pref[kk] - pref[k - 1]) + tail[kk]
-        j = int(np.argmin(expr))
-        split[n0] = k + j
-        return float(expr[j])
+        return float(expr.min())
 
-    best, best_n0 = _worst_over_n0(value_at, n, k, n0_max)
-    return BoundValue(value=best, worst_n0=best_n0, split_by_n0=split)
+    return BoundValue(*_worst_over_n0(value_at, n, k, n0_max))
 
 
 def bisect_scale(value_fn, target: float, value_tol: float = 5e-10,
                  width_tol: float = 1e-12) -> float:
-    """Find beta in (0, 1) with value_fn(beta) = target by bisection.
+    """Find beta in (0, 1) with value_fn(beta) = target on a kept bracket.
 
-    Returns the first evaluated beta with target - value_tol <= value <=
-    target, or, once the bracket is narrower than width_tol, its lower end,
+    Midpoint steps narrow the bracket to width 1/8; from there Illinois
+    regula falsi aims at the middle of the window [target - value_tol,
+    target], falling back to the midpoint when the secant leaves the
+    bracket.  Returns the first evaluated beta whose value lies in that
+    window, or, once the bracket is narrower than width_tol, its lower end,
     where the value is below target.  Either way value_fn(beta) <= target.
     value_fn is assumed increasing; that is checked on the trajectory of
-    evaluated points and a violation aborts with ``CalibrationError``
-    rather than silently picking a root.
+    evaluated points (the coarse midpoint samples span (0, 1)) and a
+    violation aborts with ``CalibrationError`` rather than silently picking
+    a root.
     """
     trace = []
 
     def value(beta: float) -> float:
         v = value_fn(beta)
+        if v != v:
+            raise CalibrationError(f"value function is NaN at beta={beta!r}")
         trace.append((beta, v))
         return v
 
@@ -564,15 +575,27 @@ def bisect_scale(value_fn, target: float, value_tol: float = 5e-10,
         raise CalibrationError(
             f"target {target} unattainable: values span [{v_lo:.3g}, {v_hi:.3g}]"
         )
+    aim = target - 0.5 * value_tol
+    # secant weights; the one whose endpoint is kept twice running is halved
+    g_lo, g_hi = v_lo - aim, v_hi - aim
+    moved = None
     while hi - lo > width_tol:
-        beta = 0.5 * (lo + hi)
+        beta = (lo * g_hi - hi * g_lo) / (g_hi - g_lo)
+        if hi - lo > 0.125 or not lo < beta < hi:
+            beta = 0.5 * (lo + hi)
         v = value(beta)
         if target - value_tol <= v <= target:
             break
-        if (v - target) * (v_lo - target) > 0:
-            lo, v_lo = beta, v
+        if (v - target) * (v_lo - target) > 0:  # on the side of lo
+            lo, g_lo = beta, v - aim
+            if moved == "lo":
+                g_hi *= 0.5
+            moved = "lo"
         else:
-            hi = beta
+            hi, g_hi = beta, v - aim
+            if moved == "hi":
+                g_lo *= 0.5
+            moved = "hi"
     else:
         beta = lo
 
@@ -580,7 +603,7 @@ def bisect_scale(value_fn, target: float, value_tol: float = 5e-10,
     vals = [t[1] for t in trace]
     if any(b - a < -1e-12 for a, b in zip(vals[:-1], vals[1:])):
         raise CalibrationError(
-            "value function is not monotone on the bisection trajectory; "
+            "value function is not monotone on the solver trajectory; "
             f"evaluated points: {trace}"
         )
     return beta
@@ -591,7 +614,7 @@ def calibrate_pair_scale(direction: str, template: Template, gamma: Gamma,
                          n0_max: int | None = None,
                          value_tol: float = 5e-10,
                          width_tol: float = 1e-12) -> ConstantsReport:
-    """Solve bound(beta) = alpha for the template scale by bisection.
+    """Solve bound(beta) = alpha for the template scale with ``bisect_scale``.
 
     Returns the calibrated constants tpl(beta*) flattened at rank k, with
     alpha - value_tol <= bound(beta*) <= alpha: the level claim holds for
@@ -617,7 +640,7 @@ def calibrate_pair_scale(direction: str, template: Template, gamma: Gamma,
     constants = CriticalConstants(values=tpl_star[ranks], k=k)
     return ConstantsReport(family=f"pair-{direction}", constants=constants,
                            scale=final.value, worst_n0=final.worst_n0,
-                           beta_star=beta_star, split_by_n0=final.split_by_n0)
+                           beta_star=beta_star)
 
 
 # ---------------------------------------------------------------------------

@@ -536,8 +536,8 @@ def _lemma_suite(report: SuiteReport, fuzz_count: int, seed: int):
 
 
 def _mismatch(got, want, what):
-    """None when got equals want to 1e-12 relative, else a message."""
-    if abs(got - want) > 1e-12 * abs(want):
+    """None when got equals want to 1e-12 relative, else a message (NaN fails)."""
+    if not abs(got - want) <= 1e-12 * abs(want):
         return f"{what}: {got!r} vs {want!r}"
     return None
 
@@ -586,14 +586,14 @@ def _dual_outcomes():
 def _pairdist_outcomes():
     """Kernel identities of bvn_cdf and validity of the built-in models."""
     err = abs(bvn_cdf(0.0, 0.0, 0.5) - 1.0 / 3.0)
-    yield "quadrant probability at rho=1/2 is off" if err > 1e-9 else None
+    yield "quadrant probability at rho=1/2 is off" if not err <= 1e-9 else None
     rng = np.random.default_rng(7)
     for _ in range(200):
         a, b = rng.normal(size=2) * 2
         rho = float(rng.uniform(-0.99, 0.99))
         resid = bvn_cdf(a, b, rho) + bvn_cdf(-a, b, -rho) - 0.5 * math.erfc(-b / math.sqrt(2))
         yield (f"reflection identity off by {resid:.2e} at a={a}, b={b}, rho={rho}"
-               if abs(resid) > 1e-9 else None)
+               if not abs(resid) <= 1e-9 else None)
     for model in (IndependentPairs(), ComonotonePairs(),
                   EquicorrelatedPairs(0.0), EquicorrelatedPairs(0.1),
                   EquicorrelatedPairs(0.5), EquicorrelatedPairs(0.9)):

@@ -156,7 +156,7 @@ def test_criterion_5_pairwise_bounds_improve_marginal_bounds():
                                     ("su", cmod.arbdep_su_report)):
                     pair = cmod.calibrate_pair_scale(d, tmpl, g, 1, ALPHA, F)
                     base = marginal(tpl_ref, g, 1, ALPHA)
-                    # slack covers the documented 1e-9 calibration residual
+                    # 1e-8 relative slack covers the 5e-10 calibration window
                     dominance_ok &= bool(np.all(
                         pair.constants.values >=
                         base.constants.values * (1 - 1e-8)))

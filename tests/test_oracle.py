@@ -122,3 +122,26 @@ class TestSuite:
         report = oracle.run_suite(suites=("lemmas",), fuzz_count=20)
         assert len(report.rows) == 8
         assert all(row.elapsed > 0.0 for row in report.rows)
+
+    def test_nan_is_never_a_match(self):
+        nan = float("nan")
+        assert oracle._mismatch(1.0, 1.0, "x") is None
+        assert oracle._mismatch(nan, 1.0, "x") == "x: nan vs 1.0"
+        assert oracle._mismatch(1.0, nan, "x") is not None
+        assert oracle._mismatch(nan, nan, "x") is not None
+
+    def test_nan_pair_bound_fails_dual_row(self, monkeypatch):
+        monkeypatch.setattr(oracle.cmod, "pair_sd_bound",
+                            lambda *a, **kw: oracle.cmod.BoundValue(np.nan, 1))
+        report = oracle.run_suite(suites=("constants",))
+        row = report.rows[-1]
+        assert row.name == "dual_implementation_equivalence"
+        # 18 (n, gamma, k) cells x 2 models x 2 scales
+        assert row.violations == 72 and not report.ok
+
+    def test_nan_kernel_fails_pairdist_row(self, monkeypatch):
+        monkeypatch.setattr(oracle, "bvn_cdf", lambda *a: np.nan)
+        report = oracle.run_suite(suites=("pairdist",))
+        # the quadrant check and the 200 reflection checks; the model
+        # checks call pairdist's own kernel and still pass
+        assert report.rows[0].violations == 201
