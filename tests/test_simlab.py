@@ -3,7 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from fdpctl.core import Gamma
+from fdpctl.core import Gamma, TruthLabels, exceeds_gamma
+from fdpctl.engine import annotate_truth, step_down, step_up
+from fdpctl.pairdist import EquicorrelatedPairs, IndependentPairs
 from fdpctl.simlab import (DependenceModel, MonteCarloConfig, build_procedure,
                            generate_sample, generate_sample_cholesky,
                            procedure_constants, run_cell, run_grid,
@@ -147,6 +149,69 @@ class TestRunMonteCarlo:
             rate = exceed.mean()
             se = math.sqrt(max(rate * (1 - rate), 1e-12) / exceed.size)
             assert rate <= 0.05 + 3 * se, name
+
+
+def literal_cell(cfg, procedures):
+    """run_cell as a plain loop over replications and procedures."""
+    n1 = cfg.n - cfg.n0
+    labels = TruthLabels.nulls_first(cfg.n, cfg.n0)
+    mu = np.where(labels.as_array(), 0.0, cfg.effect)
+    rho = cfg.model.rho
+    F = IndependentPairs() if rho == 0.0 else EquicorrelatedPairs(rho)
+    resolved = [(spec, procedure_constants(spec, cfg.n, cfg.gamma, cfg.alpha,
+                                           F if spec.uses_pairwise else None),
+                 step_down if spec.direction == "sd" else step_up)
+                for spec in procedures]
+    out = {spec.name: (np.zeros(cfg.reps, dtype=bool), np.full(cfg.reps, np.nan))
+           for spec in procedures}
+    for rep in range(cfg.reps):
+        rng = np.random.default_rng((cfg.seed, rep))
+        p = two_sided_pvalues(generate_sample(cfg.model, mu, rng))
+        for spec, constants, runner in resolved:
+            res = annotate_truth(runner(p, constants), labels)
+            exceed, power = out[spec.name]
+            exceed[rep] = exceeds_gamma(res, spec.k, cfg.gamma)
+            if n1 > 0:
+                power[rep] = res.s / n1
+    return out
+
+
+MARGINAL_TOKENS = ("lr-sd", "lr-su", "thm32", "thm33", "thm35", "thm36")
+LITERAL_MODELS = (DependenceModel("uniform", 0.3),
+                  DependenceModel("block", 0.5, block_size=5),
+                  DependenceModel("ar1", 0.5))
+
+
+def assert_cells_equal(got, want):
+    assert list(got) == list(want)
+    for name, (exceed, power) in want.items():
+        assert np.array_equal(got[name][0], exceed), name
+        assert np.array_equal(got[name][1], power, equal_nan=True), name
+
+
+class TestAgainstLiteralLoop:
+    @pytest.mark.parametrize("gamma", [Gamma(0, 1), G10])
+    @pytest.mark.parametrize("k", [1, 2])
+    @pytest.mark.parametrize("pi0", [0.0, 0.5, 1.0])
+    @pytest.mark.parametrize("model", LITERAL_MODELS, ids=lambda m: m.kind)
+    def test_cell_matches_literal_loop(self, model, pi0, k, gamma):
+        tokens = MARGINAL_TOKENS
+        if model.kind == "uniform":
+            tokens += ("thm37", "thm38") + (("thm34-sd", "thm34-su") if k > 1 else ())
+        procs = [build_procedure(t, k=k) for t in tokens]
+        cfg = MonteCarloConfig(n=20, pi0=pi0, gamma=gamma, k=k, reps=60,
+                               seed=37, model=model)
+        assert_cells_equal(run_cell(cfg, procs), literal_cell(cfg, procs))
+
+    @pytest.mark.parametrize("model", [DependenceModel("uniform", 0.0),
+                                       DependenceModel("ar1", 0.4)],
+                             ids=lambda m: m.kind)
+    def test_many_replications_match_literal_loop(self, model):
+        # n * reps = 300,000 values: more than one block of the batched path
+        procs = [build_procedure("lr-sd"), build_procedure("lr-su")]
+        cfg = MonteCarloConfig(n=200, pi0=0.9, gamma=G10, reps=1500, seed=41,
+                               model=model)
+        assert_cells_equal(run_cell(cfg, procs), literal_cell(cfg, procs))
 
 
 class TestExpectationBounds:
