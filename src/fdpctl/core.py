@@ -23,6 +23,7 @@ __all__ = [
     "CriticalConstants",
     "kfdp_value",
     "exceeds_gamma",
+    "exceeds_counts",
 ]
 
 # Floats are snapped to a rational only when they sit within this distance
@@ -212,14 +213,23 @@ def kfdp_value(result: RejectionResult, k: int = 1) -> Fraction:
 
 
 def exceeds_gamma(result: RejectionResult, k: int, gamma: Gamma) -> bool:
-    """True iff the generalized FDP exceeds gamma, in exact arithmetic.
+    """True iff the generalized FDP exceeds gamma, in exact arithmetic."""
+    if result.v is None:
+        raise ValueError("result carries no false-rejection count; annotate first")
+    return exceeds_counts(result.v, result.r, k, gamma)
 
-    Equivalent to V > max(gamma * R, k - 1): for integer V the condition
-    V >= k is the same as V > k - 1, and V/R > gamma is V*den > R*num.
+
+def exceeds_counts(v, r, k: int, gamma: Gamma):
+    """V > max(gamma * R, k - 1) for counts V <= R, in exact arithmetic.
+
+    For integer V the condition V >= k is the same as V > k - 1, and V/R >
+    gamma is V*den > R*num.  Works on ints and elementwise on integer
+    arrays; arrays whose int64 products could overflow are compared as
+    Python ints.
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    if result.v is None:
-        raise ValueError("result carries no false-rejection count; annotate first")
-    v, r = result.v, result.r
-    return v >= k and r > 0 and v * gamma.den > r * gamma.num
+    if isinstance(r, np.ndarray) and r.size and (
+            int(r.max()) * gamma.den > np.iinfo(np.int64).max):
+        v, r = v.astype(object), r.astype(object)
+    return (v >= k) & (r > 0) & (v * gamma.den > r * gamma.num)

@@ -10,6 +10,10 @@ index) and scan the ordered values against the critical constants:
 
 Comparisons are exact <=; the constants are exact decimals produced by the
 constants module, so no epsilon slop is wanted here.
+
+``step_counts`` runs the same scans on every row of a p-value block at
+once and returns only the counts R and V, which is all a Monte Carlo
+replication needs; the single-vector functions serve everything else.
 """
 
 from __future__ import annotations
@@ -18,7 +22,7 @@ import numpy as np
 
 from .core import CriticalConstants, RejectionResult, TruthLabels
 
-__all__ = ["step_down", "step_up", "annotate_truth"]
+__all__ = ["step_down", "step_up", "annotate_truth", "step_counts"]
 
 
 def _ordered(p, constants: CriticalConstants):
@@ -60,3 +64,42 @@ def annotate_truth(result: RejectionResult, labels: TruthLabels) -> RejectionRes
     return RejectionResult(
         rejected=result.rejected, n=result.n, v=v, s=result.r - v
     )
+
+
+def step_counts(p, is_null, runs) -> list:
+    """Rejection count R and false-rejection count V per row of a block.
+
+    ``p`` is a (rows, n) block of p-value vectors, ``is_null`` the n truth
+    labels and ``runs`` a sequence of (direction, constants) pairs with
+    direction 'sd' or 'su'.  Returns one (R, V) pair of int64 arrays of
+    shape (rows,) per run; row i equals the r and v of
+    ``annotate_truth(step_*(p[i], constants), labels)``.  One stable sort
+    per row serves every run, and V is read from the running count of true
+    nulls along the sorted order.
+    """
+    p = np.asarray(p, dtype=float)
+    is_null = np.asarray(is_null, dtype=bool)
+    if p.ndim != 2 or is_null.shape != p.shape[1:]:
+        raise ValueError(f"p-value block of shape {p.shape} does not match "
+                         f"{is_null.size} truth labels")
+    rows, n = p.shape
+    if not ((p >= 0.0) & (p <= 1.0)).all():
+        raise ValueError("p-values must lie in [0, 1]")
+    order = p.argsort(axis=1, kind="stable")
+    p_sorted = np.take_along_axis(p, order, axis=1)
+    nulls = np.zeros((rows, n + 1), dtype=np.int64)
+    np.cumsum(is_null[order], axis=1, out=nulls[:, 1:])
+    row = np.arange(rows)
+    out = []
+    for direction, constants in runs:
+        if constants.n != n:
+            raise ValueError(f"{n} p-values but {constants.n} critical constants")
+        ok = p_sorted <= constants.values
+        if direction == "sd":      # the first failing rank
+            r = np.where(ok.all(axis=1), n, ok.argmin(axis=1))
+        elif direction == "su":    # the last passing rank
+            r = np.where(ok.any(axis=1), n - ok[:, ::-1].argmax(axis=1), 0)
+        else:
+            raise ValueError(f"direction must be sd or su, got {direction!r}")
+        out.append((r, nulls[row, r]))
+    return out

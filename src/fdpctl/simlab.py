@@ -8,10 +8,16 @@ Cholesky path exists for user-supplied correlation matrices and is
 cross-checked against the factor path in the tests.
 
 Reproducibility contract: replication r draws from a generator seeded by
-(seed, r) only, so results are bit-identical regardless of execution order
-or worker count.  Within a grid cell every procedure sees the same sample
-per replication (common random numbers), which makes stepup-vs-stepdown
-power comparisons pointwise rather than merely in distribution.
+(seed, r) only, so results are bit-identical regardless of execution order,
+block boundaries or worker count.  Within a grid cell every procedure sees
+the same sample per replication (common random numbers), which makes
+stepup-vs-stepdown power comparisons pointwise rather than merely in
+distribution.
+
+A cell runs its replications in blocks of at most ``_BLOCK_VALUES``
+sampled values: each block is generated, converted to p-values and scanned
+by every procedure with array operations, so peak memory is O(block)
+whatever the number of replications.
 
 Conventions (the data model leaves them open): the signal means occupy the
 last (1-pi0)n positions, which matters only under AR(1); two-sided
@@ -20,14 +26,18 @@ p-values are the equal-tailed 2(1 - Phi(|z|)).
 
 from __future__ import annotations
 
+import logging
 import math
+import time
 from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.special import ndtr
 
-from .core import CriticalConstants, Gamma, TruthLabels, exceeds_gamma
-from .engine import annotate_truth, step_down, step_up
+from .core import CriticalConstants, Gamma, TruthLabels, exceeds_counts
+from .engine import step_counts
+# unused here; perfbench's traced run patches these names on this module
+from .engine import annotate_truth, step_down, step_up  # noqa: F401
 from . import constants as cmod
 from .pairdist import EquicorrelatedPairs, IndependentPairs, PairwiseNull
 
@@ -39,6 +49,7 @@ __all__ = [
     "MonteCarloConfig",
     "MonteCarloReport",
     "generate_sample",
+    "generate_samples",
     "generate_sample_cholesky",
     "two_sided_pvalues",
     "run_monte_carlo",
@@ -47,6 +58,11 @@ __all__ = [
 ]
 
 DEFAULT_EFFECT = math.sqrt(10.0)
+
+# sampled values (rows x n) per block of a cell; bounds run_cell's temporaries
+_BLOCK_VALUES = 1 << 18
+
+_log = logging.getLogger("fdpctl")
 
 
 @dataclass(frozen=True)
@@ -78,28 +94,42 @@ class DependenceModel:
 
 def generate_sample(model: DependenceModel, mu, rng) -> np.ndarray:
     """One draw of n correlated N(mu_i, 1) variables via the O(n) paths."""
+    return generate_samples(model, mu, [rng])[0]
+
+
+def generate_samples(model: DependenceModel, mu, rngs) -> np.ndarray:
+    """Row i is one draw of n correlated N(mu_j, 1) variables from rngs[i].
+
+    Each row consumes its generator exactly as a lone draw does (the shared
+    factors first, then n innovations; uniform dependence is one block of
+    size n), and the O(n) factor and AR(1) constructions run on whole
+    columns with the same float operations, so a row does not depend on the
+    block it is drawn in.
+    """
     mu = np.asarray(mu, dtype=float)
     n = mu.size
     rho = model.rho
-    if model.kind == "uniform":
-        shared = rng.standard_normal()
-        eps = rng.standard_normal(n)
-        z = math.sqrt(rho) * shared + math.sqrt(1.0 - rho) * eps
-    elif model.kind == "block":
-        s = model.block_size
+    rows = len(rngs)
+    z = np.empty((rows, n))
+    if model.kind == "ar1":
+        for row, rng in zip(z, rngs):
+            rng.standard_normal(out=row)
+        z[:, 1:] *= math.sqrt(1.0 - rho * rho)
+        for i in range(1, n):
+            z[:, i] += rho * z[:, i - 1]
+    else:
+        s = n if model.kind == "uniform" else model.block_size
         if n % s:
             raise ValueError(f"block size {s} does not divide n={n}")
-        shared = np.repeat(rng.standard_normal(n // s), s)
-        eps = rng.standard_normal(n)
-        z = math.sqrt(rho) * shared + math.sqrt(1.0 - rho) * eps
-    else:  # ar1
-        eps = rng.standard_normal(n)
-        z = np.empty(n)
-        z[0] = eps[0]
-        c = math.sqrt(1.0 - rho * rho)
-        for i in range(1, n):
-            z[i] = rho * z[i - 1] + c * eps[i]
-    return z + mu
+        shared = np.empty((rows, n // s))
+        for i, rng in enumerate(rngs):
+            rng.standard_normal(out=shared[i])
+            rng.standard_normal(out=z[i])
+        z *= math.sqrt(1.0 - rho)
+        blocks = z.reshape(rows, n // s, s)
+        blocks += math.sqrt(rho) * shared[:, :, None]
+    z += mu
+    return z
 
 
 def generate_sample_cholesky(corr, mu, rng) -> np.ndarray:
@@ -187,6 +217,8 @@ class MonteCarloConfig:
     def __post_init__(self):
         if self.reps < 1:
             raise ValueError("reps must be >= 1")
+        if not math.isfinite(self.effect):
+            raise ValueError(f"effect must be finite, got {self.effect}")
         n0 = self.pi0 * self.n
         if abs(n0 - round(n0)) > 1e-9:
             raise ValueError(f"pi0*n must be integral, got {n0}")
@@ -221,41 +253,67 @@ def _pairwise_for(model: DependenceModel) -> PairwiseNull:
 
 
 def run_cell(config: MonteCarloConfig, procedures) -> dict:
-    """Run the replication loop once, applying every procedure to each draw.
+    """Run every procedure on the cell's replications, block by block.
 
     Returns {procedure name: (exceed indicators, power per rep)} with power
-    entries NaN when there are no false nulls.  Constants are resolved once
-    per procedure; the per-rep RNG depends only on (seed, rep).  Each
-    procedure's exceedance indicator uses its own generalization order
-    spec.k (config.k is only the sweep default), so mixed-k cells estimate
-    each procedure's own error rate.
+    entries NaN when there are no false nulls; procedure names must be
+    distinct.  Constants are resolved once per procedure; the per-rep RNG
+    depends only on (seed, rep).  Each block of replications is drawn,
+    converted to p-values and scanned by all procedures at once, so memory
+    is O(block) and every replication gets the numbers of a lone
+    step_down/step_up run.  Each procedure's exceedance indicator uses its
+    own generalization order spec.k (config.k is only the sweep default),
+    so mixed-k cells estimate each procedure's own error rate.  One DEBUG
+    record on the "fdpctl" logger gives the cell's per-layer seconds.
     """
+    procedures = list(procedures)
+    names = [spec.name for spec in procedures]
+    if len(set(names)) != len(names):
+        dup = sorted({name for name in names if names.count(name) > 1})
+        raise ValueError(f"procedure names must be distinct in a cell, "
+                         f"got {', '.join(dup)} more than once")
     n, n0 = config.n, config.n0
     n1 = n - n0
-    labels = TruthLabels.nulls_first(n, n0)
-    is_null = labels.as_array()
+    is_null = TruthLabels.nulls_first(n, n0).as_array()
     mu = np.where(is_null, 0.0, config.effect)
     gamma = config.gamma
+    clock = time.perf_counter
 
-    resolved = []
+    start = clock()
+    runs = []
     for spec in procedures:
         F = _pairwise_for(config.model) if spec.uses_pairwise else None
-        constants = procedure_constants(spec, n, gamma, config.alpha, F)
-        runner = step_down if spec.direction == "sd" else step_up
-        resolved.append((spec, constants, runner))
+        runs.append((spec.direction,
+                     procedure_constants(spec, n, gamma, config.alpha, F)))
+    constants_s = clock() - start
 
-    exceed = {spec.name: np.zeros(config.reps, dtype=bool) for spec, _, _ in resolved}
-    power = {spec.name: np.full(config.reps, np.nan) for spec, _, _ in resolved}
-    for rep in range(config.reps):
-        rng = np.random.default_rng((config.seed, rep))
-        z = generate_sample(config.model, mu, rng)
+    out = {name: (np.zeros(config.reps, dtype=bool), np.full(config.reps, np.nan))
+           for name in names}
+    generate_s = pvalues_s = engine_s = 0.0
+    rows = max(1, _BLOCK_VALUES // n)
+    blocks = range(0, config.reps, rows)
+    for lo in blocks:
+        hi = min(lo + rows, config.reps)
+        t0 = clock()
+        z = generate_samples(config.model, mu, [
+            np.random.default_rng((config.seed, rep)) for rep in range(lo, hi)])
+        t1 = clock()
         p = two_sided_pvalues(z)
-        for spec, constants, runner in resolved:
-            res = annotate_truth(runner(p, constants), labels)
-            exceed[spec.name][rep] = exceeds_gamma(res, spec.k, gamma)
+        t2 = clock()
+        for spec, (r, v) in zip(procedures, step_counts(p, is_null, runs)):
+            exceed, power = out[spec.name]
+            exceed[lo:hi] = exceeds_counts(v, r, spec.k, gamma)
             if n1 > 0:
-                power[spec.name][rep] = res.s / n1
-    return {name: (exceed[name], power[name]) for name in exceed}
+                power[lo:hi] = (r - v) / n1
+        t3 = clock()
+        generate_s += t1 - t0
+        pvalues_s += t2 - t1
+        engine_s += t3 - t2
+    _log.debug("run_cell n=%d reps=%d blocks=%d simlab.constants_s=%.6f "
+               "simlab.generate_s=%.6f simlab.pvalues_s=%.6f engine.step_s=%.6f",
+               n, config.reps, len(blocks), constants_s, generate_s,
+               pvalues_s, engine_s)
+    return out
 
 
 def _summarize(name: str, exceed: np.ndarray, power: np.ndarray,

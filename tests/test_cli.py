@@ -209,6 +209,18 @@ class TestSimulateCommand:
                            "--reps", "5")
         assert code == 1 and "need 1 <= k <= n" in err
 
+    def test_repeated_procedure_is_usage_error(self, capsys):
+        code, out, err = run(capsys, "simulate", "--procedures", "lr-sd,lr-sd",
+                             "--n", "10", "--gamma", "1/10", "--reps", "5")
+        assert code == 1 and "lr-sd" in err and out == ""
+
+    @pytest.mark.parametrize("effect", ["nan", "inf", "-inf"])
+    def test_non_finite_effect_is_usage_error(self, capsys, effect):
+        code, out, err = run(capsys, "simulate", "--procedures", "lr-sd",
+                             "--n", "10", "--gamma", "1/10", "--reps", "5",
+                             f"--effect={effect}")
+        assert code == 1 and "effect must be finite" in err and out == ""
+
 
 class TestVerifyCommand:
     def test_constants_suite_passes(self, capsys):

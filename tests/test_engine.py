@@ -3,8 +3,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fdpctl.core import CriticalConstants, TruthLabels
-from fdpctl.engine import annotate_truth, step_down, step_up
+from fdpctl.core import (CriticalConstants, Gamma, TruthLabels, exceeds_counts,
+                         exceeds_gamma)
+from fdpctl.engine import annotate_truth, step_counts, step_down, step_up
 
 
 def cc(*values):
@@ -173,3 +174,52 @@ class TestProperties:
     def test_tied_rejections_keep_original_index_order(self):
         res = step_down([0.03, 0.03, 0.5], cc(0.03, 0.04, 0.05))
         assert res.rejected == (0, 1)
+
+
+# 10**12 keeps the exceedance products in int64; 10**20 overflows them
+GAMMAS = (Gamma(0, 1), Gamma(1, 10), Gamma(1, 4), Gamma(1, 2),
+          Gamma(1, 10**12), Gamma(10**12 - 1, 10**12), Gamma(1, 10**20))
+
+
+@st.composite
+def count_cases(draw):
+    n = draw(st.integers(1, 8))
+    values = sorted(draw(st.lists(st.floats(0.001, 0.999), min_size=n, max_size=n)))
+    # p-values that tie each other, sit on a constant or on the ends of [0, 1]
+    pool = st.sampled_from([0.0, 1.0] + values) | st.floats(0.0, 1.0)
+    p = draw(st.lists(st.lists(pool, min_size=n, max_size=n),
+                      min_size=1, max_size=5))
+    is_null = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    return (values, p, is_null, draw(st.integers(1, n)),
+            draw(st.sampled_from(GAMMAS)))
+
+
+class TestStepCounts:
+    @given(count_cases())
+    @settings(max_examples=300)
+    def test_rows_match_single_vector_runs(self, case):
+        values, p, is_null, k, gamma = case
+        c = cc(*values)
+        labels = TruthLabels(tuple(is_null))
+        counts = step_counts(p, is_null, [("sd", c), ("su", c)])
+        for proc, (r, v) in zip((step_down, step_up), counts):
+            exceed = exceeds_counts(v, r, k, gamma)
+            for i, row in enumerate(p):
+                res = annotate_truth(proc(row, c), labels)
+                assert (r[i], v[i]) == (res.r, res.v)
+                assert exceed[i] == exceeds_gamma(res, k, gamma)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, -0.1, 1.2])
+    def test_out_of_range_pvalues_rejected(self, bad):
+        with pytest.raises(ValueError, match=r"\[0, 1\]"):
+            step_counts([[0.1, 0.2], [0.1, bad]], [True, False],
+                        [("sd", cc(0.05, 0.06))])
+
+    def test_shape_and_direction_checked(self):
+        labels = [True, False]
+        with pytest.raises(ValueError, match="shape"):
+            step_counts([0.1, 0.2], labels, [("sd", cc(0.05, 0.06))])
+        with pytest.raises(ValueError, match="critical constants"):
+            step_counts([[0.1, 0.2]], labels, [("sd", cc(0.05))])
+        with pytest.raises(ValueError, match="direction"):
+            step_counts([[0.1, 0.2]], labels, [("up", cc(0.05, 0.06))])

@@ -1,8 +1,11 @@
+import logging
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from fdpctl import simlab
 from fdpctl.core import Gamma, TruthLabels, exceeds_gamma
 from fdpctl.engine import annotate_truth, step_down, step_up
 from fdpctl.pairdist import EquicorrelatedPairs, IndependentPairs
@@ -207,11 +210,54 @@ class TestAgainstLiteralLoop:
                                        DependenceModel("ar1", 0.4)],
                              ids=lambda m: m.kind)
     def test_many_replications_match_literal_loop(self, model):
-        # n * reps = 300,000 values: more than one block of the batched path
         procs = [build_procedure("lr-sd"), build_procedure("lr-su")]
         cfg = MonteCarloConfig(n=200, pi0=0.9, gamma=G10, reps=1500, seed=41,
                                model=model)
+        assert cfg.n * cfg.reps > simlab._BLOCK_VALUES
         assert_cells_equal(run_cell(cfg, procs), literal_cell(cfg, procs))
+
+
+class TestRunCell:
+    def test_duplicate_procedure_names_rejected(self):
+        cfg = MonteCarloConfig(n=20, pi0=0.5, gamma=G10, reps=20, seed=3,
+                               model=DependenceModel("uniform", 0.5))
+        with pytest.raises(ValueError, match="thm32"):
+            run_cell(cfg, [build_procedure("thm32", k=2),
+                           build_procedure("thm32", k=5)])
+
+    @pytest.mark.parametrize("effect", [math.nan, math.inf, -math.inf])
+    def test_non_finite_effect_rejected(self, effect):
+        with pytest.raises(ValueError, match="effect must be finite"):
+            MonteCarloConfig(n=10, pi0=0.5, gamma=G10, effect=effect)
+
+    def test_debug_record_gives_layer_seconds(self, caplog):
+        cfg = MonteCarloConfig(n=200, pi0=0.5, gamma=G10, reps=1500, seed=1)
+        with caplog.at_level(logging.DEBUG, logger="fdpctl"):
+            run_cell(cfg, [build_procedure("lr-sd"), build_procedure("lr-su")])
+        (record,) = caplog.records
+        assert record.name == "fdpctl" and record.levelno == logging.DEBUG
+        text = record.getMessage()
+        assert "reps=1500" in text and "blocks=2" in text
+        for layer in ("simlab.constants_s", "simlab.generate_s",
+                      "simlab.pvalues_s", "engine.step_s"):
+            assert f"{layer}=" in text
+
+    def test_peak_memory_is_per_block(self):
+        n = 1000
+        rows = simlab._BLOCK_VALUES // n
+        procs = [build_procedure("lr-sd"), build_procedure("lr-su")]
+
+        def peak(reps):
+            cfg = MonteCarloConfig(n=n, pi0=0.5, gamma=G10, reps=reps, seed=2,
+                                   model=DependenceModel("ar1", 0.5))
+            tracemalloc.start()
+            try:
+                run_cell(cfg, procs)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert peak(8 * rows) < 2 * peak(rows)
 
 
 class TestExpectationBounds:
