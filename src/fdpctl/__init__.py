@@ -15,8 +15,8 @@ The package provides, for a vector of p-values:
 __version__ = "0.1.0"
 
 from .core import (CriticalConstants, Gamma, RejectionResult, TruthLabels,
-                   exceeds_gamma, kfdp_value)
-from .engine import annotate_truth, step_down, step_up
+                   exceeds_counts, exceeds_gamma, kfdp_value)
+from .engine import annotate_truth, step_counts, step_down, step_up
 from .constants import (FAMILIES, BoundValue, CalibrationError,
                         ConstantsReport, IndexMaps, Template, arbdep_sd_report,
                         arbdep_su_report, bh_template, calibrate_pair_scale,
@@ -30,7 +30,8 @@ from .pairdist import (ComonotonePairs, EquicorrelatedPairs, IndependentPairs,
                        two_sided_equicorr_cdf, validate_pairwise)
 from .simlab import (DependenceModel, MonteCarloConfig, MonteCarloReport,
                      ProcedureSpec, build_procedure, generate_sample,
-                     generate_sample_cholesky, procedure_constants, run_cell,
+                     generate_sample_cholesky, generate_samples,
+                     procedure_constants, run_cell,
                      run_grid, run_monte_carlo, two_sided_pvalues)
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -93,7 +93,7 @@ class DependenceModel:
 
 
 def generate_sample(model: DependenceModel, mu, rng) -> np.ndarray:
-    """One draw of n correlated N(mu_i, 1) variables via the O(n) paths."""
+    """One draw of n correlated N(mu_i, 1) variables: generate_samples' one-row case."""
     return generate_samples(model, mu, [rng])[0]
 
 
