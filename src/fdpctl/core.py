@@ -229,7 +229,8 @@ def exceeds_counts(v, r, k: int, gamma: Gamma):
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    if isinstance(r, np.ndarray) and r.size and (
-            int(r.max()) * gamma.den > np.iinfo(np.int64).max):
+    # den itself must fit in int64 even when every count is 0 or r is empty
+    if isinstance(r, np.ndarray) and (
+            max(int(r.max(initial=0)), 1) * gamma.den > np.iinfo(np.int64).max):
         v, r = v.astype(object), r.astype(object)
     return (v >= k) & (r > 0) & (v * gamma.den > r * gamma.num)

@@ -209,6 +209,12 @@ class TestStepCounts:
                 assert (r[i], v[i]) == (res.r, res.v)
                 assert exceed[i] == exceeds_gamma(res, k, gamma)
 
+    @pytest.mark.parametrize("r", [[0], [0, 0], []])
+    def test_huge_denominator_with_zero_or_no_counts(self, r):
+        r = np.array(r, dtype=np.int64)
+        exceed = exceeds_counts(r, r, 1, Gamma(1, 10**20))
+        assert exceed.shape == r.shape and not exceed.any()
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, -0.1, 1.2])
     def test_out_of_range_pvalues_rejected(self, bad):
         with pytest.raises(ValueError, match=r"\[0, 1\]"):
