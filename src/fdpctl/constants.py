@@ -26,6 +26,7 @@ gamma would skip levels, which the stepdown families do not support.
 
 from __future__ import annotations
 
+import logging
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -61,6 +62,9 @@ __all__ = [
     "FAMILIES",
     "family_report",
 ]
+
+
+_log = logging.getLogger("fdpctl")
 
 
 class CalibrationError(RuntimeError):
@@ -447,14 +451,20 @@ _PAIR_CHUNK = 65536
 
 
 def _pair_matrix(F: PairwiseNull, tpl: np.ndarray) -> np.ndarray:
-    """F(tpl[i], tpl[j]) for all pairs, evaluated in chunks of _PAIR_CHUNK."""
-    flat_u = np.broadcast_to(tpl[:, None], (tpl.size, tpl.size)).ravel()
-    flat_v = np.broadcast_to(tpl[None, :], (tpl.size, tpl.size)).ravel()
-    out = np.empty(flat_u.size)
-    for lo in range(0, flat_u.size, _PAIR_CHUNK):
+    """F(tpl[i], tpl[j]) for all pairs.
+
+    F is symmetric (a ``PairwiseNull`` precondition), so F.cdf runs on the
+    upper triangle i <= j only, in chunks of _PAIR_CHUNK, and is mirrored.
+    """
+    rows, cols = np.triu_indices(tpl.size)
+    vals = np.empty(rows.size)
+    for lo in range(0, rows.size, _PAIR_CHUNK):
         hi = lo + _PAIR_CHUNK
-        out[lo:hi] = np.asarray(F.cdf(flat_u[lo:hi], flat_v[lo:hi]))
-    return out.reshape(tpl.size, tpl.size)
+        vals[lo:hi] = np.asarray(F.cdf(tpl[rows[lo:hi]], tpl[cols[lo:hi]]))
+    out = np.empty((tpl.size, tpl.size))
+    out[rows, cols] = vals
+    out[cols, rows] = vals
+    return out
 
 
 def pair_sd_bound(template: Template, gamma: Gamma, k: int, F: PairwiseNull,
@@ -520,25 +530,33 @@ def pair_su_bound(template: Template, gamma: Gamma, k: int, F: PairwiseNull,
     tpl = template.values(beta)
     grid = _pair_matrix(F, tpl)
     raw = _su_rank_raw(n, gamma)
+    r_all = np.arange(1, n + 1)
+    q_all = np.concatenate([[0.0], 1.0 / r_all[:-1] - 1.0 / r_all[1:], [0.0]])
+    strict_upper = np.triu(np.ones((n + 1, n + 1)), 1)
 
     def value_at(n0):
         mt = _su_rank(n0, n - n0, raw)
         av = tpl[mt]
         d = np.diff(av)
-        r = np.arange(1, n0 + 1)
+        r = r_all[:n0]
         head = n0 * d / r
         pref = np.concatenate([[0.0], np.cumsum(head)])  # pref[j] = sum_{r<=j}
-        fmm = grid[np.ix_(mt, mt)]
-        rect = fmm[1:, 1:] - fmm[:-1, 1:] - fmm[1:, :-1] + fmm[:-1, :-1]
-        w = rect / r[None, :]
-        tail_w = np.concatenate(
-            [np.cumsum(w[:, ::-1], axis=1)[:, ::-1], np.zeros((n0, 1))], axis=1
-        )
-        cross = (n0 * (n0 - 1) / r) * tail_w[np.arange(n0), r]
-        pdiag = n0 * (n0 - 1) * (np.diagonal(fmm)[1:] - fmm[1:, :-1].diagonal()) / r**2
+        fmm = grid[mt[:, None], mt]
+        diag = fmm.diagonal()[1:]                        # F(av_r, av_r)
+        sup = fmm.diagonal(1)                            # F(av_r-1, av_r)
+        # sum_{s>r} G(r, s) / s, G the rectangle mass, summed by parts in s:
+        # U(r) - U(r-1) + sup_r / r - diag_r / (r+1) for r < n0, 0 at n0,
+        # with U(i) = sum_{s>i} fmm[i, s] q_s, q_s = 1/s - 1/(s+1), q_n0 = 1/n0
+        q = q_all[:n0 + 1].copy()
+        q[n0] = 1.0 / n0
+        u = (fmm * strict_upper[:n0 + 1, :n0 + 1]) @ q
+        by_parts = u[1:] - u[:-1] + sup / r - diag / (r + 1)
+        by_parts[-1] = 0.0
+        cross = (n0 * (n0 - 1) / r) * by_parts
+        pdiag = n0 * (n0 - 1) * (diag - sup) / r**2
         row = n0 * d / r**2 + pdiag + cross
         tail = np.concatenate([np.cumsum(row[::-1])[::-1], [0.0]])
-        kk = np.arange(k, n0 + 1)
+        kk = r_all[k - 1:n0]
         expr = n0 * av[k - 1] / k + (pref[kk] - pref[k - 1]) + tail[kk]
         return float(expr.min())
 
@@ -621,20 +639,27 @@ def calibrate_pair_scale(direction: str, template: Template, gamma: Gamma,
     the computed bound, and dominance comparisons against other families
     should allow slack of order value_tol: for a bound linear in beta the
     scale falls short by at most value_tol / alpha, 1e-8 by default at
-    alpha = 0.05.
+    alpha = 0.05.  One DEBUG record on the "fdpctl" logger gives the
+    direction, n, the number of bound evaluations, beta*, the residual
+    alpha - bound(beta*) and the worst-case n0.
     """
     if direction not in ("sd", "su"):
         raise ValueError(f"direction must be 'sd' or 'su', got {direction!r}")
     bound = pair_sd_bound if direction == "sd" else pair_su_bound
-    evaluated = {}
+    evaluated = []
 
     def value(beta: float) -> float:
-        evaluated[beta] = bound(template, gamma, k, F, beta, n0_max=n0_max)
-        return evaluated[beta].value
+        evaluated.append((beta, bound(template, gamma, k, F, beta,
+                                      n0_max=n0_max)))
+        return evaluated[-1][1].value
 
     beta_star = bisect_scale(value, alpha, value_tol=value_tol,
                              width_tol=width_tol)
-    final = evaluated[beta_star]
+    final = dict(evaluated)[beta_star]
+    _log.debug("calibrate_pair_scale direction=%s n=%d bound_evals=%d "
+               "beta_star=%r residual=%.3e worst_n0=%d", direction,
+               template.n, len(evaluated), beta_star, alpha - final.value,
+               final.worst_n0)
     tpl_star = template.values(beta_star)
     ranks = np.maximum(np.arange(1, template.n + 1), k)
     constants = CriticalConstants(values=tpl_star[ranks], k=k)

@@ -1,3 +1,4 @@
+import logging
 import math
 import warnings
 
@@ -584,6 +585,24 @@ class TestCalibration:
             # constants are the template at beta*, flattened at k
             expect = tmpl.values(rep.beta_star)[1:]
             assert np.allclose(rep.constants.values, expect, rtol=0, atol=0)
+
+    @pytest.mark.parametrize("d", ["sd", "su"])
+    def test_debug_record_gives_calibration_evidence(self, d, caplog):
+        tmpl = cmod.make_template("lr", 30, gamma=G10)
+        F = EquicorrelatedPairs(0.3)
+        with caplog.at_level(logging.DEBUG, logger="fdpctl"):
+            rep = cmod.calibrate_pair_scale(d, tmpl, G10, 1, 0.05, F)
+        (record,) = caplog.records
+        assert record.name == "fdpctl" and record.levelno == logging.DEBUG
+        fields = dict(item.split("=") for item in
+                      record.getMessage().split()[1:])
+        assert fields["direction"] == d and fields["n"] == "30"
+        assert 0 < int(fields["bound_evals"]) <= 16
+        assert float(fields["beta_star"]) == rep.beta_star
+        residual = float(fields["residual"])
+        assert 0.0 <= residual <= 5e-10
+        assert residual == pytest.approx(0.05 - rep.scale, rel=1e-3)
+        assert int(fields["worst_n0"]) == rep.worst_n0
 
     def test_calibrated_dominates_marginal_only_family(self):
         # 1e-8 relative slack covers the 5e-10 calibration window at alpha = 0.05

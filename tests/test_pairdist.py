@@ -1,8 +1,9 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
-from scipy.special import ndtr
+from scipy.special import ndtr, ndtri
 
 from fdpctl.pairdist import (ComonotonePairs, EquicorrelatedPairs,
                              IndependentPairs, bvn_cdf, conditional_cdf,
@@ -69,6 +70,37 @@ class TestBvnCdf:
             assert got[i] == bvn_cdf(float(a[i]), float(b[i]), 0.6)
 
 
+def _bvn_reference(a: float, b: float, rho: float) -> float:
+    """The same one-dimensional integral by mpmath tanh-sinh at 30 digits."""
+    with mpmath.workdps(30):
+        a, b = mpmath.mpf(a), mpmath.mpf(b)
+
+        def density(t):
+            return mpmath.exp(-(a * a + b * b - 2 * a * b * mpmath.sin(t))
+                              / (2 * mpmath.cos(t) ** 2))
+
+        corr = mpmath.quad(density, [0, mpmath.asin(mpmath.mpf(rho))])
+        return float(mpmath.ncdf(a) * mpmath.ncdf(b) + corr / (2 * mpmath.pi))
+
+
+class TestNodeCountEdges:
+    """The first panel takes 6, 12 or 20 nodes by |rho| band (edges 0.3 and
+    0.75) and ends at 0.925, where 48-node panels take over."""
+
+    LEVELS = [float(ndtri(u / 2)) for u in (1e-8, 1e-3, 0.05, 0.5, 1.0)]
+
+    @pytest.mark.parametrize("edge", [0.3, 0.75, 0.925])
+    @pytest.mark.parametrize("offset", [-1e-9, 1e-9])
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_matches_mpmath_on_both_sides(self, edge, offset, sign):
+        rho = sign * (edge + offset)
+        for i, a in enumerate(self.LEVELS):
+            for b in self.LEVELS[i:]:
+                want = _bvn_reference(a, b, rho)
+                assert abs(bvn_cdf(a, b, rho) - want) <= 1e-15
+                assert abs(bvn_cdf(b, a, rho) - want) <= 1e-15
+
+
 class TestTwoSidedEquicorr:
     def test_independence_factorizes_on_grid(self):
         u = np.linspace(0.0, 1.0, 50)
@@ -85,6 +117,14 @@ class TestTwoSidedEquicorr:
     def test_quadrature_pinned_value(self):
         got = two_sided_equicorr_cdf(0.05, 0.05, 0.5)
         assert got == pytest.approx(TAIL_JOINT_05_05_RHO05, abs=1e-12)
+
+    @pytest.mark.parametrize("rho", [1.0, 0.5, 0.0])
+    def test_nan_argument_rejected(self, rho):
+        for u, v in ((math.nan, 0.5), (0.5, math.nan)):
+            with pytest.raises(ValueError, match=r"must lie in \[0, 1\]"):
+                two_sided_equicorr_cdf(u, v, rho)
+        with pytest.raises(ValueError, match=r"must lie in \[0, 1\]"):
+            two_sided_equicorr_cdf(np.array([0.1, math.nan]), 0.5, rho)
 
     def test_symmetric_in_rho_sign(self):
         assert two_sided_equicorr_cdf(0.2, 0.6, 0.5) == pytest.approx(
@@ -113,6 +153,16 @@ class TestCopulaInvariants:
         assert np.min(vals - np.maximum(g1 + g2 - 1, 0.0)) > -1e-10
         rect = vals[1:, 1:] - vals[:-1, 1:] - vals[1:, :-1] + vals[:-1, :-1]
         assert np.min(rect) > -1e-10                          # 2-increasing
+
+    @pytest.mark.parametrize("F", [
+        IndependentPairs(), ComonotonePairs(), EquicorrelatedPairs(-0.9),
+        EquicorrelatedPairs(0.0), EquicorrelatedPairs(0.3),
+        EquicorrelatedPairs(0.999)], ids=lambda F: F.name)
+    def test_symmetric_bit_for_bit(self, F):
+        # the PairwiseNull precondition the half pair grid relies on
+        u = np.concatenate([[0.0, 1e-9, 1e-4], np.linspace(0.0, 1.0, 41)])
+        g1, g2 = np.meshgrid(u, u)
+        assert np.array_equal(F.cdf(g1, g2), F.cdf(g2, g1))
 
     def test_validate_accepts_models(self):
         for model in (IndependentPairs(), ComonotonePairs(), EquicorrelatedPairs(0.5)):
@@ -144,6 +194,12 @@ class TestConditional:
     def test_zero_condition_rejected(self):
         with pytest.raises(ValueError):
             conditional_cdf(IndependentPairs(), 0.3, 0.0)
+
+    def test_nan_condition_rejected(self):
+        with pytest.raises(ValueError, match="must be positive"):
+            conditional_cdf(IndependentPairs(), 0.5, math.nan)
+        with pytest.raises(ValueError, match="must be positive"):
+            conditional_cdf(ComonotonePairs(), 0.5, np.array([0.2, math.nan]))
 
 
 class TestFactory:
