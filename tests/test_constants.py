@@ -474,6 +474,46 @@ class TestPairBoundsFrozen:
             assert got.worst_n0 == worst_n0
 
 
+# (report, template, k) -> (scale, worst_n0) of the marginal families at
+# n = 200, gamma = 1/10, template scale 0.05, frozen from the per-n0 loop
+MARGINAL_FROZEN = {
+    ("posdep_sd", "lr", 1): (0.05000000000000002, 152),
+    ("posdep_sd", "lr", 3): (0.05000000000000002, 152),
+    ("posdep_sd", "bh", 1): (0.4346250000000001, 183),
+    ("posdep_sd", "bh", 3): (0.4205000000000001, 174),
+    ("posdep_sd", "gbs", 1): (0.874267782426777, 21),
+    ("posdep_sd", "gbs", 3): (0.874267782426777, 21),
+    ("posdep_su", "lr", 1): (0.05000000000000002, 152),
+    ("posdep_su", "lr", 3): (0.05000000000000002, 152),
+    ("posdep_su", "bh", 1): (0.4346250000000001, 183),
+    ("posdep_su", "bh", 3): (0.4205000000000001, 174),
+    ("posdep_su", "gbs", 1): (0.9090909090909092, 23),
+    ("posdep_su", "gbs", 3): (0.9090909090909092, 23),
+    ("arbdep_sd", "lr", 1): (0.11970551947405464, 119),
+    ("arbdep_sd", "lr", 3): (0.09507401411042042, 101),
+    ("arbdep_sd", "bh", 1): (0.8681785714285715, 146),
+    ("arbdep_sd", "bh", 3): (0.5997827380952382, 137),
+    ("arbdep_sd", "gbs", 1): (1.148974948572179, 110),
+    ("arbdep_sd", "gbs", 3): (1.076380191921677, 21),
+    ("arbdep_su", "lr", 1): (0.18915975970538942, 129),
+    ("arbdep_su", "lr", 3): (0.16166403321764433, 111),
+    ("arbdep_su", "bh", 1): (0.982030661667432, 156),
+    ("arbdep_su", "bh", 3): (0.6970647479603264, 143),
+    ("arbdep_su", "gbs", 1): (2.303676448776793, 120),
+    ("arbdep_su", "gbs", 3): (2.0749067532441345, 102),
+}
+
+
+class TestMarginalFrozen:
+    """The naive twins stop at n <= 12; these pin n = 200 bit for bit."""
+
+    @pytest.mark.parametrize("report, kind, k", list(MARGINAL_FROZEN))
+    def test_scale_and_worst_n0(self, report, kind, k):
+        tpl = cmod.make_template(kind, 200, gamma=G10).values(0.05)
+        got = getattr(cmod, f"{report}_report")(tpl, G10, k, 0.05)
+        assert (got.scale, got.worst_n0) == MARGINAL_FROZEN[report, kind, k]
+
+
 @st.composite
 def pair_problems(draw):
     """marginal_problems at n <= 9, plus a pairwise model and a scale beta."""
