@@ -93,7 +93,7 @@ def _family_report(args, gamma: Gamma, n: int):
             raise UsageError(f"family {args.family} needs --rho or --f independence")
         F = make_pairwise(model)
     return cmod.family_report(args.family, n, gamma, args.k, args.alpha,
-                              template=args.template, F=F, n0_max=args.n0_max)
+                              template=args.template, F=F)
 
 
 def cmd_constants(args) -> int:
@@ -101,7 +101,7 @@ def cmd_constants(args) -> int:
     report = _family_report(args, gamma, args.n)
     params = dict(family=args.family, n=args.n, gamma=str(gamma), alpha=args.alpha,
                   k=args.k, template=args.template, rho=getattr(args, "rho", None),
-                  f=getattr(args, "f", None), n0_max=args.n0_max)
+                  f=getattr(args, "f", None))
     lines = _manifest("constants", params)
     lines.append("i,alpha_i")
     for i, value in enumerate(report.constants.values, start=1):
@@ -278,8 +278,6 @@ def _add_constant_flags(sub, family_required=True):
                      help="equicorrelation of the pairwise null model")
     sub.add_argument("--f", choices=("independence",), default=None,
                      help="named pairwise null model")
-    sub.add_argument("--n0-max", dest="n0_max", type=int, default=None,
-                     help="optional cap on the enumerated number of true nulls")
     sub.add_argument("-o", "--output", default=None, help="CSV output path")
 
 

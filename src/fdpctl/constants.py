@@ -258,24 +258,30 @@ class BoundValue:
     worst_n0: int
 
 
-def _n0_range(n: int, k: int, n0_max: int | None) -> range:
-    """n0 in [k, min(n, n0_max)], after checking 1 <= k <= n."""
+def _check_k(n: int, k: int) -> None:
     if not 1 <= k <= n:
         raise ValueError(f"need 1 <= k <= n, got n={n}, k={k}")
-    hi = n if n0_max is None else min(n, n0_max)
-    if hi < k:
-        raise ValueError(f"empty n0 range: k={k}, n0_max={hi}")
-    return range(k, hi + 1)
 
 
-def _worst_over_n0(value_at, n: int, k: int, n0_max: int | None):
-    """(max of value_at(n0) over n0 in [k, min(n, n0_max)], first argmax)."""
+def _worst_over_n0(value_at, n: int, k: int):
+    """(max of value_at(n0) over every n0 in [k, n], first argmax)."""
+    _check_k(n, k)
     best, best_n0 = -np.inf, -1
-    for n0 in _n0_range(n, k, n0_max):
+    for n0 in range(k, n + 1):
         val = value_at(n0)
         if val > best:
             best, best_n0 = val, n0
     return best, best_n0
+
+
+def _rank_maps(direction: str, n: int, gamma: Gamma, k: int) -> list:
+    """mbar (direction 'sd') or mt ('su') for n0 = k..n, entry n0 - k."""
+    _check_k(n, k)
+    if direction == "sd":
+        f_all = _floor_odds_plus1(n, gamma)
+        return [_sd_rank(n0, n - n0, k, f_all) for n0 in range(k, n + 1)]
+    raw = _su_rank_raw(n, gamma)
+    return [_su_rank(n0, n - n0, raw) for n0 in range(k, n + 1)]
 
 
 # ---------------------------------------------------------------------------
@@ -307,28 +313,18 @@ def _arbdep_su_value(av: np.ndarray, k: int, n0: int) -> float:
 
 
 def _marginal_scale(direction: str, value, tpl: np.ndarray, gamma: Gamma,
-                    k: int, n0_max: int | None = None):
+                    k: int):
     """(C, worst n0) with C = max over n0 of value(tpl[rank map], k, n0)."""
     n = _check_template_vector(tpl)
-    if direction == "sd":
-        f_all = _floor_odds_plus1(n, gamma)
-
-        def value_at(n0):
-            return value(tpl[_sd_rank(n0, n - n0, k, f_all)], k, n0)
-    else:
-        raw = _su_rank_raw(n, gamma)
-
-        def value_at(n0):
-            return value(tpl[_su_rank(n0, n - n0, raw)], k, n0)
-
-    return _worst_over_n0(value_at, n, k, n0_max)
+    maps = _rank_maps(direction, n, gamma, k)
+    return _worst_over_n0(lambda n0: value(tpl[maps[n0 - k]], k, n0), n, k)
 
 
 def _marginal_report(family: str, direction: str, value, tpl, gamma: Gamma,
-                     k: int, alpha: float, n0_max: int | None) -> ConstantsReport:
+                     k: int, alpha: float) -> ConstantsReport:
     """Template flattened at rank k and rescaled by alpha / C."""
     tpl = np.asarray(tpl, dtype=float)
-    scale, worst_n0 = _marginal_scale(direction, value, tpl, gamma, k, n0_max)
+    scale, worst_n0 = _marginal_scale(direction, value, tpl, gamma, k)
     ranks = np.maximum(np.arange(1, tpl.size), k)
     values = alpha * tpl[ranks] / scale
     if values[-1] >= 1.0:
@@ -339,40 +335,36 @@ def _marginal_report(family: str, direction: str, value, tpl, gamma: Gamma,
                            constants=CriticalConstants(values=values, k=k))
 
 
-def posdep_sd_report(tpl, gamma: Gamma, k: int, alpha: float,
-                     n0_max: int | None = None) -> ConstantsReport:
+def posdep_sd_report(tpl, gamma: Gamma, k: int, alpha: float) -> ConstantsReport:
     """Stepdown constants valid under positive dependence (marginal-only).
 
     Rescales the template by C = max over n0 and levels i of
     n0 * tpl[mbar(i)] / (i v k).
     """
     return _marginal_report("posdep-sd", "sd", _posdep_sd_value, tpl, gamma,
-                            k, alpha, n0_max)
+                            k, alpha)
 
 
-def posdep_su_report(tpl, gamma: Gamma, k: int, alpha: float,
-                     n0_max: int | None = None) -> ConstantsReport:
+def posdep_su_report(tpl, gamma: Gamma, k: int, alpha: float) -> ConstantsReport:
     """Stepup analog of ``posdep_sd_report``: C = max n0 * tpl[mt(i)] / i."""
     return _marginal_report("posdep-su", "su", _posdep_su_value, tpl, gamma,
-                            k, alpha, n0_max)
+                            k, alpha)
 
 
-def arbdep_sd_report(tpl, gamma: Gamma, k: int, alpha: float,
-                     n0_max: int | None = None) -> ConstantsReport:
+def arbdep_sd_report(tpl, gamma: Gamma, k: int, alpha: float) -> ConstantsReport:
     """Stepdown constants valid under arbitrary dependence (marginal-only).
 
     C = max over n0 of the telescoping sum
     n0 * sum_i (tpl[mbar(i)] - tpl[mbar(i-1)]) / (i v k).
     """
     return _marginal_report("arbdep-sd", "sd", _arbdep_sd_value, tpl, gamma,
-                            k, alpha, n0_max)
+                            k, alpha)
 
 
-def arbdep_su_report(tpl, gamma: Gamma, k: int, alpha: float,
-                     n0_max: int | None = None) -> ConstantsReport:
+def arbdep_su_report(tpl, gamma: Gamma, k: int, alpha: float) -> ConstantsReport:
     """Stepup analog of ``arbdep_sd_report`` built on the mt(i) ranks."""
     return _marginal_report("arbdep-su", "su", _arbdep_su_value, tpl, gamma,
-                            k, alpha, n0_max)
+                            k, alpha)
 
 
 def sd_marginal_bound(tpl, gamma: Gamma) -> float:
@@ -403,8 +395,7 @@ def lr_constants(n: int, gamma: Gamma, alpha: float) -> ConstantsReport:
 
 
 def pairwise_lr_report(n: int, gamma: Gamma, k: int, alpha: float,
-                       F: PairwiseNull,
-                       n0_max: int | None = None) -> ConstantsReport:
+                       F: PairwiseNull) -> ConstantsReport:
     """Lehmann-Romano constants inflated by pairwise-correlation information.
 
     For k >= 2 the exceedance bound of the plain constants is at most
@@ -426,7 +417,7 @@ def pairwise_lr_report(n: int, gamma: Gamma, k: int, alpha: float,
             inner += float(np.sum(np.diff(cond) / np.arange(k, n0)))
         return (n0 - 1) * inner
 
-    best, best_n0 = _worst_over_n0(value_at, n, k, n0_max)
+    best, best_n0 = _worst_over_n0(value_at, n, k)
     if not best > 0.0:
         raise ValueError(
             f"degenerate pairwise model: worst-case C = {best:.6g} <= 0, so F "
@@ -450,25 +441,27 @@ def pairwise_lr_report(n: int, gamma: Gamma, k: int, alpha: float,
 _PAIR_CHUNK = 65536
 
 
-def _pair_matrix(F: PairwiseNull, tpl: np.ndarray) -> np.ndarray:
-    """F(tpl[i], tpl[j]) for all pairs.
+def _pair_matrix(F: PairwiseNull, tpl: np.ndarray, rows, cols) -> np.ndarray:
+    """F(tpl[i], tpl[j]) at the rank pairs (rows, cols), rows <= cols.
 
-    F is symmetric (a ``PairwiseNull`` precondition), so F.cdf runs on the
-    upper triangle i <= j only, in chunks of _PAIR_CHUNK, and is mirrored.
+    F is symmetric (a ``PairwiseNull`` precondition), so F.cdf runs once per
+    distinct pair, in key order and chunks of _PAIR_CHUNK, and the result is
+    mirrored into the (n+1)^2 matrix; pairs not asked for read NaN.
     """
-    rows, cols = np.triu_indices(tpl.size)
+    size = tpl.size
+    rows, cols = np.divmod(np.unique(rows * size + cols), size)
     vals = np.empty(rows.size)
     for lo in range(0, rows.size, _PAIR_CHUNK):
         hi = lo + _PAIR_CHUNK
         vals[lo:hi] = np.asarray(F.cdf(tpl[rows[lo:hi]], tpl[cols[lo:hi]]))
-    out = np.empty((tpl.size, tpl.size))
+    out = np.full((size, size), np.nan)
     out[rows, cols] = vals
     out[cols, rows] = vals
     return out
 
 
 def pair_sd_bound(template: Template, gamma: Gamma, k: int, F: PairwiseNull,
-                  beta: float, n0_max: int | None = None) -> BoundValue:
+                  beta: float) -> BoundValue:
     """Stepdown exceedance bound mixing marginal and pairwise information.
 
     For each n0 the bound splits the level sum at K: levels i <= K use the
@@ -478,23 +471,18 @@ def pair_sd_bound(template: Template, gamma: Gamma, k: int, F: PairwiseNull,
     """
     n = template.n
     tpl = template.values(beta)
-    f_all = _floor_odds_plus1(n, gamma)
-    n0s = _n0_range(n, k, n0_max)
-    mbars = [_sd_rank(n0, n - n0, k, f_all) for n0 in n0s]
+    mbars = _rank_maps("sd", n, gamma, k)
     # F is read only at (mbar_i, mbar_i), i = 0..M, and (mbar_i, mbar_{i+1}),
-    # i = 1..M-1: one F.cdf call on the distinct rank pairs of all n0
-    rows = np.concatenate([np.concatenate([m, m[1:-1]]) for m in mbars])
-    cols = np.concatenate([np.concatenate([m, m[2:]]) for m in mbars])
-    keys, where = np.unique(rows * (n + 1) + cols, return_inverse=True)
-    fvals = np.asarray(F.cdf(tpl[keys // (n + 1)], tpl[keys % (n + 1)]),
-                       dtype=float)[where]
-    fparts = np.split(fvals, np.cumsum([2 * m.size - 2 for m in mbars])[:-1])
+    # i = 1..M-1, of every n0
+    rows = np.concatenate(mbars + [m[1:-1] for m in mbars])
+    cols = np.concatenate(mbars + [m[2:] for m in mbars])
+    grid = _pair_matrix(F, tpl, rows, cols)
 
     def value_at(n0):
         mbar = mbars[n0 - k]
         m_cap = mbar.size - 1
-        fdiag = fparts[n0 - k][:m_cap + 1]               # F(av_i, av_i), 0..M
-        fnext = fparts[n0 - k][m_cap + 1:]               # F(av_K, av_K+1)
+        fdiag = grid[mbar, mbar]                         # F(av_i, av_i), 0..M
+        fnext = grid[mbar[1:-1], mbar[2:]]               # F(av_K, av_K+1)
         av = tpl[mbar]
         prefix = _sd_marginal_prefix(av, k, n0)          # A[0..M]
         iok = np.maximum(np.arange(1, m_cap + 1), k)
@@ -514,11 +502,11 @@ def pair_sd_bound(template: Template, gamma: Gamma, k: int, F: PairwiseNull,
             )
         return float(expr.min())
 
-    return BoundValue(*_worst_over_n0(value_at, n, k, n0_max))
+    return BoundValue(*_worst_over_n0(value_at, n, k))
 
 
 def pair_su_bound(template: Template, gamma: Gamma, k: int, F: PairwiseNull,
-                  beta: float, n0_max: int | None = None) -> BoundValue:
+                  beta: float) -> BoundValue:
     """Stepup exceedance bound mixing marginal and pairwise information.
 
     Ranks r <= K contribute the marginal telescope; ranks r > K contribute
@@ -528,14 +516,14 @@ def pair_su_bound(template: Template, gamma: Gamma, k: int, F: PairwiseNull,
     """
     n = template.n
     tpl = template.values(beta)
-    grid = _pair_matrix(F, tpl)
-    raw = _su_rank_raw(n, gamma)
+    mts = _rank_maps("su", n, gamma, k)
+    grid = _pair_matrix(F, tpl, *np.triu_indices(n + 1))
     r_all = np.arange(1, n + 1)
     q_all = np.concatenate([[0.0], 1.0 / r_all[:-1] - 1.0 / r_all[1:], [0.0]])
     strict_upper = np.triu(np.ones((n + 1, n + 1)), 1)
 
     def value_at(n0):
-        mt = _su_rank(n0, n - n0, raw)
+        mt = mts[n0 - k]
         av = tpl[mt]
         d = np.diff(av)
         r = r_all[:n0]
@@ -560,18 +548,21 @@ def pair_su_bound(template: Template, gamma: Gamma, k: int, F: PairwiseNull,
         expr = n0 * av[k - 1] / k + (pref[kk] - pref[k - 1]) + tail[kk]
         return float(expr.min())
 
-    return BoundValue(*_worst_over_n0(value_at, n, k, n0_max))
+    return BoundValue(*_worst_over_n0(value_at, n, k))
 
 
-def bisect_scale(value_fn, target: float, value_tol: float = 5e-10,
-                 width_tol: float = 1e-12) -> float:
+_VALUE_TOL = 5e-10
+_WIDTH_TOL = 1e-12
+
+
+def bisect_scale(value_fn, target: float) -> float:
     """Find beta in (0, 1) with value_fn(beta) = target on a kept bracket.
 
     Midpoint steps narrow the bracket to width 1/8; from there Illinois
-    regula falsi aims at the middle of the window [target - value_tol,
+    regula falsi aims at the middle of the window [target - _VALUE_TOL,
     target], falling back to the midpoint when the secant leaves the
     bracket.  Returns the first evaluated beta whose value lies in that
-    window, or, once the bracket is narrower than width_tol, its lower end,
+    window, or, once the bracket is narrower than _WIDTH_TOL, its lower end,
     where the value is below target.  Either way value_fn(beta) <= target.
     value_fn is assumed increasing; that is checked on the trajectory of
     evaluated points (the coarse midpoint samples span (0, 1)) and a
@@ -593,16 +584,16 @@ def bisect_scale(value_fn, target: float, value_tol: float = 5e-10,
         raise CalibrationError(
             f"target {target} unattainable: values span [{v_lo:.3g}, {v_hi:.3g}]"
         )
-    aim = target - 0.5 * value_tol
+    aim = target - 0.5 * _VALUE_TOL
     # secant weights; the one whose endpoint is kept twice running is halved
     g_lo, g_hi = v_lo - aim, v_hi - aim
     moved = None
-    while hi - lo > width_tol:
+    while hi - lo > _WIDTH_TOL:
         beta = (lo * g_hi - hi * g_lo) / (g_hi - g_lo)
         if hi - lo > 0.125 or not lo < beta < hi:
             beta = 0.5 * (lo + hi)
         v = value(beta)
-        if target - value_tol <= v <= target:
+        if target - _VALUE_TOL <= v <= target:
             break
         if (v - target) * (v_lo - target) > 0:  # on the side of lo
             lo, g_lo = beta, v - aim
@@ -628,20 +619,20 @@ def bisect_scale(value_fn, target: float, value_tol: float = 5e-10,
 
 
 def calibrate_pair_scale(direction: str, template: Template, gamma: Gamma,
-                         k: int, alpha: float, F: PairwiseNull,
-                         n0_max: int | None = None,
-                         value_tol: float = 5e-10,
-                         width_tol: float = 1e-12) -> ConstantsReport:
+                         k: int, alpha: float,
+                         F: PairwiseNull) -> ConstantsReport:
     """Solve bound(beta) = alpha for the template scale with ``bisect_scale``.
 
     Returns the calibrated constants tpl(beta*) flattened at rank k, with
-    alpha - value_tol <= bound(beta*) <= alpha: the level claim holds for
-    the computed bound, and dominance comparisons against other families
-    should allow slack of order value_tol: for a bound linear in beta the
-    scale falls short by at most value_tol / alpha, 1e-8 by default at
-    alpha = 0.05.  One DEBUG record on the "fdpctl" logger gives the
-    direction, n, the number of bound evaluations, beta*, the residual
-    alpha - bound(beta*) and the worst-case n0.
+    alpha - 5e-10 <= bound(beta*) <= alpha: the level claim holds for the
+    computed bound.  For a template linear in beta (lr, bh) the calibrated
+    constants dominate the marginal-only family (thm35/thm36) up to a
+    relative slack of 5e-10 / alpha, 1e-8 at alpha = 0.05.  gbs is not
+    linear in beta, so thm37 can fall below thm35 there: at n = 2,
+    gamma = 0 rank 1 gets 0.012987 against 0.013415.  One DEBUG record on
+    the "fdpctl" logger gives the direction, n, the number of bound
+    evaluations, beta*, the residual alpha - bound(beta*) and the
+    worst-case n0.
     """
     if direction not in ("sd", "su"):
         raise ValueError(f"direction must be 'sd' or 'su', got {direction!r}")
@@ -649,12 +640,10 @@ def calibrate_pair_scale(direction: str, template: Template, gamma: Gamma,
     evaluated = []
 
     def value(beta: float) -> float:
-        evaluated.append((beta, bound(template, gamma, k, F, beta,
-                                      n0_max=n0_max)))
+        evaluated.append((beta, bound(template, gamma, k, F, beta)))
         return evaluated[-1][1].value
 
-    beta_star = bisect_scale(value, alpha, value_tol=value_tol,
-                             width_tol=width_tol)
+    beta_star = bisect_scale(value, alpha)
     final = dict(evaluated)[beta_star]
     _log.debug("calibrate_pair_scale direction=%s n=%d bound_evals=%d "
                "beta_star=%r residual=%.3e worst_n0=%d", direction,
@@ -693,8 +682,8 @@ FAMILIES = {
 
 
 def family_report(family: str, n: int, gamma: Gamma, k: int, alpha: float,
-                  template: str = "lr", F: PairwiseNull | None = None,
-                  n0_max: int | None = None) -> ConstantsReport:
+                  template: str = "lr",
+                  F: PairwiseNull | None = None) -> ConstantsReport:
     """Build one ``FAMILIES`` entry; lr and thm34 ignore ``template``.
 
     Every family needs 1 <= k <= n, also those that do not use k.
@@ -702,19 +691,17 @@ def family_report(family: str, n: int, gamma: Gamma, k: int, alpha: float,
     if family not in FAMILIES:
         raise ValueError(f"unknown constants family {family!r}; "
                          f"known: {', '.join(FAMILIES)}")
-    if not 1 <= k <= n:
-        raise ValueError(f"need 1 <= k <= n, got n={n}, k={k}")
+    _check_k(n, k)
     fam = FAMILIES[family]
     if fam.pairwise and F is None:
         raise ValueError(f"family {family} needs a pairwise null model")
     if fam.kind == "lr":
         return lr_constants(n, gamma, alpha)
     if fam.kind == "pairwise-lr":
-        return pairwise_lr_report(n, gamma, k, alpha, F, n0_max=n0_max)
+        return pairwise_lr_report(n, gamma, k, alpha, F)
     tpl = make_template(template, n, gamma=gamma)
     if fam.kind == "pair":
-        return calibrate_pair_scale(fam.direction, tpl, gamma, k, alpha, F,
-                                    n0_max=n0_max)
+        return calibrate_pair_scale(fam.direction, tpl, gamma, k, alpha, F)
     # looked up on each call, so a wrapper on the module attribute sees it
     report = globals()[f"{fam.kind}_{fam.direction}_report"]
-    return report(tpl.values(alpha), gamma, k, alpha, n0_max=n0_max)
+    return report(tpl.values(alpha), gamma, k, alpha)

@@ -121,6 +121,17 @@ def bvn_cdf(a, b, rho: float):
     return float(out[0]) if scalar else out
 
 
+def _pvalue_args(u, v):
+    """u and v as float arrays, each checked to lie in [0, 1]."""
+    u_arr = np.asarray(u, dtype=float)
+    v_arr = np.asarray(v, dtype=float)
+    # one pass per argument; NaN fails both comparisons
+    if not (((u_arr >= 0) & (u_arr <= 1)).all()
+            and ((v_arr >= 0) & (v_arr <= 1)).all()):
+        raise ValueError("p-value arguments must lie in [0, 1]")
+    return u_arr, v_arr
+
+
 def two_sided_equicorr_cdf(u, v, rho: float):
     """Joint CDF of two-sided normal p-values under equicorrelation rho.
 
@@ -132,16 +143,10 @@ def two_sided_equicorr_cdf(u, v, rho: float):
     """
     if not -1.0 <= rho <= 1.0:
         raise ValueError(f"correlation must lie in [-1, 1], got {rho}")
-    u_arr, v_arr = np.broadcast_arrays(
-        np.asarray(u, dtype=float), np.asarray(v, dtype=float)
-    )
+    u_arr, v_arr = np.broadcast_arrays(*_pvalue_args(u, v))
     scalar = u_arr.ndim == 0
     u_arr = np.atleast_1d(u_arr).copy()
     v_arr = np.atleast_1d(v_arr).copy()
-    # one pass per argument; NaN fails both comparisons
-    if not (((u_arr >= 0) & (u_arr <= 1)).all()
-            and ((v_arr >= 0) & (v_arr <= 1)).all()):
-        raise ValueError("p-value arguments must lie in [0, 1]")
 
     if abs(rho) == 1.0:
         out = np.minimum(u_arr, v_arr)
@@ -188,14 +193,15 @@ class IndependentPairs(PairwiseNull):
     name = "independence"
 
     def cdf(self, u, v):
-        return np.asarray(u, dtype=float) * np.asarray(v, dtype=float)
+        u, v = _pvalue_args(u, v)
+        return u * v
 
 
 class ComonotonePairs(PairwiseNull):
     name = "comonotone"
 
     def cdf(self, u, v):
-        return np.minimum(np.asarray(u, dtype=float), np.asarray(v, dtype=float))
+        return np.minimum(*_pvalue_args(u, v))
 
 
 class EquicorrelatedPairs(PairwiseNull):
@@ -212,7 +218,10 @@ class EquicorrelatedPairs(PairwiseNull):
 
 
 def make_pairwise(spec) -> PairwiseNull:
-    """Build a pairwise model from 'independence', 'comonotone', or a rho."""
+    """Build a pairwise model from 'independence', 'comonotone', or a rho.
+
+    rho = 0 gives ``IndependentPairs``, the exact form of that model.
+    """
     if isinstance(spec, PairwiseNull):
         return spec
     if isinstance(spec, str):
@@ -222,11 +231,11 @@ def make_pairwise(spec) -> PairwiseNull:
         if s in ("comonotone", "perfect"):
             return ComonotonePairs()
         try:
-            return EquicorrelatedPairs(float(s))
+            spec = float(s)
         except ValueError:
             raise ValueError(f"unknown pairwise model {spec!r}") from None
     if isinstance(spec, (int, float)):
-        return EquicorrelatedPairs(float(spec))
+        return EquicorrelatedPairs(spec) if spec != 0 else IndependentPairs()
     raise TypeError(f"cannot interpret {spec!r} as a pairwise model")
 
 

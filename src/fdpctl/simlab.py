@@ -39,7 +39,7 @@ from .engine import step_counts
 # unused here; perfbench's traced run patches these names on this module
 from .engine import annotate_truth, step_down, step_up  # noqa: F401
 from . import constants as cmod
-from .pairdist import EquicorrelatedPairs, IndependentPairs, PairwiseNull
+from .pairdist import PairwiseNull, make_pairwise
 
 __all__ = [
     "DependenceModel",
@@ -242,14 +242,12 @@ class MonteCarloReport:
 
 
 def _pairwise_for(model: DependenceModel) -> PairwiseNull:
-    if model.rho == 0.0:
-        return IndependentPairs()
-    if model.kind != "uniform":
+    if model.kind != "uniform" and model.rho != 0.0:
         raise ValueError(
             "pairwise-aware procedures need a common pairwise correlation; "
             f"dependence kind {model.kind!r} is not equicorrelated"
         )
-    return EquicorrelatedPairs(model.rho)
+    return make_pairwise(model.rho)
 
 
 def run_cell(config: MonteCarloConfig, procedures) -> dict:
@@ -337,7 +335,7 @@ def run_monte_carlo(config: MonteCarloConfig) -> MonteCarloReport:
     return _summarize(config.procedure.name, exceed, power, config)
 
 
-def run_grid(base: MonteCarloConfig, procedures, rhos=(0.0,), pi0s=None,
+def run_grid(base: MonteCarloConfig, procedures, rhos=None, pi0s=None,
              gammas=None, ks=None, threads: int = 1) -> list:
     """Cartesian sweep; one report per (procedure, cell), coupled within cells.
 
@@ -348,10 +346,11 @@ def run_grid(base: MonteCarloConfig, procedures, rhos=(0.0,), pi0s=None,
     procedures = list(procedures)
     if not procedures:
         raise ValueError("empty procedure list")
+    rhos = [base.model.rho] if rhos is None else list(rhos)
     pi0s = [base.pi0] if pi0s is None else list(pi0s)
     gammas = [base.gamma] if gammas is None else [Gamma.parse(g) for g in gammas]
     ks = [base.k] if ks is None else list(ks)
-    if not (list(rhos) and pi0s and gammas and ks):
+    if not (rhos and pi0s and gammas and ks):
         raise ValueError("empty sweep axis")
     cells = []
     for gamma in gammas:

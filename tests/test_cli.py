@@ -68,6 +68,21 @@ class TestConstantsCommand:
         scale = [r for r in data_rows(out) if r.startswith("C,")]
         assert len(scale) == 1 and float(scale[0].split(",")[1]) <= 0.05
 
+    @pytest.mark.parametrize("family, k", [("thm34", "2"), ("thm37", "1"),
+                                           ("thm38", "1")])
+    def test_rho_zero_is_independence(self, capsys, family, k):
+        common = ("constants", "--family", family, "--n", "20", "--k", k,
+                  "--gamma", "1/10")
+        code_rho, out_rho, _ = run(capsys, *common, "--rho", "0")
+        code_ind, out_ind, _ = run(capsys, *common, "--f", "independence")
+        assert code_rho == code_ind == 0
+        assert data_rows(out_rho) == data_rows(out_ind)
+
+    def test_n0_cap_flag_is_gone(self, capsys):
+        code, _, err = run(capsys, "constants", "--family", "thm32", "--n", "10",
+                           "--gamma", "1/10", "--n0-max", "4")
+        assert code == 1 and "unrecognized arguments" in err
+
     def test_decimal_gamma_warns(self, capsys):
         code, _, err = run(capsys, "constants", "--family", "lr", "--n", "5",
                            "--gamma", "0.1")

@@ -215,14 +215,7 @@ class TestMarginalFamilies:
 
     def test_worst_n0_is_first_argmax(self):
         values = {1: 1.0, 2: 3.0, 3: 3.0, 4: 2.0}
-        assert cmod._worst_over_n0(values.__getitem__, 4, 1, None) == (3.0, 2)
-
-    def test_n0_cap(self):
-        tpl = cmod.make_template("bh", 10).values(0.05)
-        capped = cmod.posdep_sd_report(tpl, G10, 1, 0.05, n0_max=4)
-        full = cmod.posdep_sd_report(tpl, G10, 1, 0.05)
-        assert capped.scale <= full.scale
-        assert capped.worst_n0 <= 4
+        assert cmod._worst_over_n0(values.__getitem__, 4, 1) == (3.0, 2)
 
 
 @st.composite
@@ -399,7 +392,8 @@ class TestPairBounds:
         # under independence the rectangle mass factorizes into increments
         tmpl = cmod.make_template("bh", 5)
         vals = tmpl.values(0.4)
-        grid = cmod._pair_matrix(IndependentPairs(), vals)
+        grid = cmod._pair_matrix(IndependentPairs(), vals,
+                                 *np.triu_indices(vals.size))
         rect = grid[1:, 1:] - grid[:-1, 1:] - grid[1:, :-1] + grid[:-1, :-1]
         d = np.diff(vals)
         assert np.allclose(rect, np.outer(d, d), rtol=1e-12, atol=1e-18)

@@ -177,6 +177,19 @@ class TestCopulaInvariants:
             validate_pairwise(Bad())
 
 
+class TestArgumentChecks:
+    @pytest.mark.parametrize("F", [
+        IndependentPairs(), ComonotonePairs(), EquicorrelatedPairs(0.3),
+        EquicorrelatedPairs(1.0)], ids=lambda F: F.name)
+    @pytest.mark.parametrize("bad", [-0.5, 1.5, math.nan])
+    def test_out_of_range_or_nan_rejected(self, F, bad):
+        for u, v in ((bad, 0.5), (0.5, bad), (np.array([0.2, bad]), 0.5)):
+            with pytest.raises(ValueError, match=r"must lie in \[0, 1\]"):
+                F.cdf(u, v)
+        with pytest.raises(ValueError, match=r"must lie in \[0, 1\]"):
+            conditional_cdf(F, bad, 0.5)
+
+
 class TestConditional:
     def test_independence(self):
         F = IndependentPairs()
@@ -208,6 +221,10 @@ class TestFactory:
         assert isinstance(make_pairwise("comonotone"), ComonotonePairs)
         assert make_pairwise(0.4).rho == 0.4
         assert make_pairwise("0.25").rho == 0.25
+
+    @pytest.mark.parametrize("rho", [0, 0.0, -0.0, "0", " 0.0 "], ids=repr)
+    def test_zero_correlation_is_independence(self, rho):
+        assert isinstance(make_pairwise(rho), IndependentPairs)
 
     def test_unknown(self):
         with pytest.raises(ValueError):

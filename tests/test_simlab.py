@@ -337,6 +337,17 @@ class TestRunGrid:
         assert grid[0].exceedance == single.exceedance
         assert grid[0].power == single.power
 
+    def test_axes_default_to_the_base_cell(self):
+        proc = build_procedure("lr-su")
+        base = MonteCarloConfig(n=20, pi0=0.5, gamma=G10, reps=100, seed=5,
+                                model=DependenceModel("uniform", 0.4))
+        (default,) = run_grid(base, [proc])
+        (explicit,) = run_grid(base, [proc], rhos=[0.4], pi0s=[0.5],
+                               gammas=[G10], ks=[1])
+        assert default.config.model.rho == 0.4
+        assert (default.exceedance, default.power) == \
+            (explicit.exceedance, explicit.power)
+
     def test_thread_count_does_not_change_results(self):
         base = MonteCarloConfig(n=30, pi0=0.5, gamma=G10, reps=200, seed=19)
         procs = [build_procedure("lr-sd"), build_procedure("lr-su")]
