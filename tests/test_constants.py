@@ -217,6 +217,13 @@ class TestMarginalFamilies:
         values = {1: 1.0, 2: 3.0, 3: 3.0, 4: 2.0}
         assert cmod._worst_over_n0(values.__getitem__, 4, 1) == (3.0, 2)
 
+    def test_worst_case_rejects_nan(self):
+        values = {1: 1.0, 2: 3.0, 3: math.nan, 4: math.nan}
+        with pytest.raises(ValueError, match="NaN at n0=3"):
+            cmod._worst_over_n0(values.__getitem__, 4, 1)
+        with pytest.raises(ValueError, match="NaN at n0=1"):
+            cmod._worst_over_n0(lambda n0: math.nan, 4, 1)
+
 
 @st.composite
 def marginal_problems(draw):
@@ -387,6 +394,23 @@ class TestPairBounds:
         F = IndependentPairs()
         assert cmod.pair_sd_bound(tmpl, G10, 1, F, 1e-9).value < 1e-6
         assert cmod.pair_su_bound(tmpl, G10, 1, F, 1e-9).value < 1e-6
+
+    def test_nan_from_F_is_not_dropped(self):
+        # F is NaN where an argument exceeds 0.004; the worst case used to
+        # skip those n0 (su: 0.0042 at n0 = 1, against 0.0747 at n0 = 12
+        # under independence) and calibration then claimed beta* = 0.6
+        class NanAbove(PairwiseNull):
+            def cdf(self, u, v):
+                u, v = np.asarray(u, dtype=float), np.asarray(v, dtype=float)
+                return np.where(np.maximum(u, v) > 0.004, np.nan, u * v)
+
+        tmpl = cmod.make_template("lr", 20, gamma=G10)
+        F = NanAbove()
+        for bound in (cmod.pair_sd_bound, cmod.pair_su_bound):
+            with pytest.raises(ValueError, match=r"NaN at n0=\d+"):
+                bound(tmpl, G10, 1, F, 0.05)
+        with pytest.raises(ValueError, match=r"NaN at n0=\d+"):
+            cmod.calibrate_pair_scale("su", tmpl, G10, 1, 0.05, F)
 
     def test_product_rectangle_mass(self):
         # under independence the rectangle mass factorizes into increments
