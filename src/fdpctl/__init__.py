@@ -18,9 +18,9 @@ from .core import (CriticalConstants, Gamma, RejectionResult, TruthLabels,
                    exceeds_counts, exceeds_gamma, kfdp_value)
 from .engine import annotate_truth, step_counts, step_down, step_up
 from .constants import (FAMILIES, BoundValue, CalibrationError,
-                        ConstantsReport, IndexMaps, Template, arbdep_sd_report,
+                        ConstantsReport, Template, arbdep_sd_report,
                         arbdep_su_report, bh_template, calibrate_pair_scale,
-                        family_report, gbs_template, index_maps, lr_constants,
+                        family_report, gbs_template, lr_constants,
                         lr_template, make_template, pair_sd_bound, pair_su_bound,
                         pairwise_lr_report, posdep_sd_report,
                         posdep_su_report, sd_marginal_bound,
@@ -30,8 +30,7 @@ from .pairdist import (ComonotonePairs, EquicorrelatedPairs, IndependentPairs,
                        two_sided_equicorr_cdf, validate_pairwise)
 from .simlab import (DependenceModel, MonteCarloConfig, MonteCarloReport,
                      ProcedureSpec, build_procedure, generate_sample,
-                     generate_sample_cholesky, generate_samples,
-                     procedure_constants, run_cell,
-                     run_grid, run_monte_carlo, two_sided_pvalues)
+                     generate_samples, procedure_constants, run_cell,
+                     run_grid, two_sided_pvalues)
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -268,7 +268,6 @@ def cmd_verify(args) -> int:
 def _add_constant_flags(sub, family_required=True):
     sub.add_argument("--family", required=family_required,
                      choices=tuple(cmod.FAMILIES))
-    sub.add_argument("--n", type=int, default=None)
     sub.add_argument("--gamma", required=family_required,
                      help="exceedance threshold, e.g. 1/10 or 0.1")
     sub.add_argument("--alpha", type=float, default=0.05)
@@ -286,6 +285,7 @@ def _build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
     p_const = sub.add_parser("constants", help="print a critical-constant table")
+    p_const.add_argument("--n", type=int, required=True)
     _add_constant_flags(p_const)
 
     p_test = sub.add_parser("test", help="apply a procedure to a p-value file")
@@ -335,8 +335,6 @@ def main(argv=None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-        if args.subcommand == "constants" and args.n is None:
-            raise UsageError("constants requires --n")
         return _COMMANDS[args.subcommand](args)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

@@ -13,11 +13,14 @@ Combinatorial index maps
 For gamma = num/den, n1 = n - n0 and generalization order k, the bounds are
 driven by integer maps evaluated in exact arithmetic:
 
-* n_levels      M = min(n0, floor(gamma n1 / (1-gamma)) + 1)
-* sd_slack      m(i)  = max{0 <= j <= n1 : floor(gamma j / (1-gamma)) + 1 = i}
-* sd_rank       mbar(i) = (i v k) + m(i), mbar(0) = 0
-* su_rank_raw   m*(i) = max{1 <= j <= n : floor(gamma j) + 1 <= i}, m*(0) = 0
-* su_rank       mt(i) = min(m*(i), i + n1)
+* M       = min(n0, floor(gamma n1 / (1-gamma)) + 1), the stepdown levels
+* m(i)    = max{0 <= j <= n1 : floor(gamma j / (1-gamma)) + 1 = i}
+* mbar(i) = (i v k) + m(i) for i = 1..M, mbar(0) = 0
+* m*(i)   = max{1 <= j <= n : floor(gamma j) + 1 <= i}, m*(0) = 0
+* mt(i)   = min(m*(i), i + n1) for i = 0..n0
+
+``_rank_maps`` is the one source of mbar (stepdown) and mt (stepup) for
+every n0 in [k, n]; every family and both pair bounds read them there.
 
 m(i) exists for every i in [1, M] exactly when gamma <= 1/2 (the scan
 f(j) = floor(gamma j/(1-gamma)) + 1 then advances in unit steps); larger
@@ -41,8 +44,6 @@ __all__ = [
     "lr_template",
     "bh_template",
     "gbs_template",
-    "IndexMaps",
-    "index_maps",
     "ConstantsReport",
     "BoundValue",
     "CalibrationError",
@@ -100,6 +101,9 @@ def gbs_template(n: int, beta: float) -> np.ndarray:
     return i * beta / (n - i * (1.0 - beta) + 1.0)
 
 
+_NON_FINITE = "template values must be finite (no NaN or inf)"
+
+
 @dataclass(frozen=True)
 class Template:
     """Base-constant family evaluated at a scale beta in (0, 1).
@@ -122,6 +126,8 @@ class Template:
             if self.custom is None or len(self.custom) != self.n:
                 raise ValueError("custom template needs n base values")
             base = np.asarray(self.custom, dtype=float)
+            if not np.isfinite(base).all():
+                raise ValueError(_NON_FINITE)
             if base[0] <= 0 or np.any(np.diff(base) < 0):
                 raise ValueError("custom base values must be positive nondecreasing")
             object.__setattr__(self, "custom", tuple(float(v) for v in base))
@@ -150,6 +156,8 @@ def _check_template_vector(tpl: np.ndarray) -> int:
     n = tpl.size - 1
     if n < 1:
         raise ValueError("template vector must cover ranks 0..n with n >= 1")
+    if not np.isfinite(tpl).all():
+        raise ValueError(_NON_FINITE)
     if tpl[0] != 0.0:
         raise ValueError("template vector must start with 0 at rank 0")
     if np.any(np.diff(tpl) < 0):
@@ -204,38 +212,6 @@ def _su_rank(n0: int, n1: int, raw: np.ndarray) -> np.ndarray:
     return np.minimum(raw[: n0 + 1], np.arange(n0 + 1) + n1)
 
 
-@dataclass(frozen=True)
-class IndexMaps:
-    """All integer maps for one (n, n0, gamma, k); arrays indexed 0..len-1."""
-
-    n: int
-    n0: int
-    k: int
-    n_levels: int
-    sd_slack: np.ndarray    # m(0..M)
-    sd_rank: np.ndarray     # mbar(0..M)
-    su_rank_raw: np.ndarray  # m*(0..n0)
-    su_rank: np.ndarray     # mt(0..n0)
-
-
-def index_maps(n: int, n0: int, gamma: Gamma, k: int) -> IndexMaps:
-    """Evaluate every combinatorial map exactly for one parameter point."""
-    if not 1 <= k <= n0 <= n:
-        raise ValueError(f"need 1 <= k <= n0 <= n, got k={k}, n0={n0}, n={n}")
-    n1 = n - n0
-    sd_rank = _sd_rank(n0, n1, k, _floor_odds_plus1(n, gamma))
-    sd_slack = sd_rank - np.maximum(np.arange(sd_rank.size), k)
-    sd_slack[0] = 0
-    raw_full = _su_rank_raw(n, gamma)
-    su_rank_raw = raw_full[: n0 + 1].copy()
-    su_rank = _su_rank(n0, n1, raw_full)
-    for arr in (sd_slack, sd_rank, su_rank_raw, su_rank):
-        arr.setflags(write=False)
-    return IndexMaps(n=n, n0=n0, k=k, n_levels=sd_rank.size - 1,
-                     sd_slack=sd_slack, sd_rank=sd_rank,
-                     su_rank_raw=su_rank_raw, su_rank=su_rank)
-
-
 # ---------------------------------------------------------------------------
 # reports
 
@@ -264,11 +240,17 @@ def _check_k(n: int, k: int) -> None:
 
 
 def _worst_over_n0(value_at, n: int, k: int):
-    """(max of value_at(n0) over every n0 in [k, n], first argmax)."""
+    """(max of value_at(n0) over every n0 in [k, n], first argmax).
+
+    A NaN value raises: skipping it would report the max over the other n0.
+    """
     _check_k(n, k)
     best, best_n0 = -np.inf, -1
     for n0 in range(k, n + 1):
         val = value_at(n0)
+        if val != val:
+            raise ValueError(f"worst case over n0 is undefined: the bound "
+                             f"is NaN at n0={n0}")
         if val > best:
             best, best_n0 = val, n0
     return best, best_n0
@@ -415,7 +397,7 @@ def pairwise_lr_report(n: int, gamma: Gamma, k: int, alpha: float,
         inner = cond[0] / (k - 1)
         if n0 > k:
             inner += float(np.sum(np.diff(cond) / np.arange(k, n0)))
-        return (n0 - 1) * inner
+        return float((n0 - 1) * inner)
 
     best, best_n0 = _worst_over_n0(value_at, n, k)
     if not best > 0.0:

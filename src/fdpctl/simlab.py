@@ -3,9 +3,7 @@
 Data model: n dependent N(mu_i, 1) variables with pi0*n of the means zero
 and the rest equal to the effect size d, under one of three correlation
 structures (uniform pairwise, block, AR(1)), each generated by its O(n)
-factor/recursive construction rather than a dense Cholesky; a general
-Cholesky path exists for user-supplied correlation matrices and is
-cross-checked against the factor path in the tests.
+factor/recursive construction rather than a dense Cholesky.
 
 Reproducibility contract: replication r draws from a generator seeded by
 (seed, r) only, so results are bit-identical regardless of execution order,
@@ -14,9 +12,11 @@ the same sample per replication (common random numbers), which makes
 stepup-vs-stepdown power comparisons pointwise rather than merely in
 distribution.
 
-A cell runs its replications in blocks of at most ``_BLOCK_VALUES``
-sampled values: each block is generated, converted to p-values and scanned
-by every procedure with array operations, so peak memory is O(block)
+``run_cell`` is the one simulation path: ``run_grid`` sweeps cells
+through it and summarizes each procedure as a ``MonteCarloReport``.  A
+cell runs its replications in blocks of at most ``_BLOCK_VALUES`` sampled
+values: each block is generated, converted to p-values and scanned by
+every procedure with array operations, so peak memory is O(block)
 whatever the number of replications.
 
 Conventions (the data model leaves them open): the signal means occupy the
@@ -50,9 +50,7 @@ __all__ = [
     "MonteCarloReport",
     "generate_sample",
     "generate_samples",
-    "generate_sample_cholesky",
     "two_sided_pvalues",
-    "run_monte_carlo",
     "run_cell",
     "run_grid",
 ]
@@ -132,13 +130,6 @@ def generate_samples(model: DependenceModel, mu, rngs) -> np.ndarray:
     return z
 
 
-def generate_sample_cholesky(corr, mu, rng) -> np.ndarray:
-    """General path for an arbitrary correlation matrix (O(n^2) per draw)."""
-    mu = np.asarray(mu, dtype=float)
-    chol = np.linalg.cholesky(np.asarray(corr, dtype=float))
-    return chol @ rng.standard_normal(mu.size) + mu
-
-
 def two_sided_pvalues(z) -> np.ndarray:
     """Equal-tailed two-sided p-values 2(1 - Phi(|z|))."""
     return 2.0 * ndtr(-np.abs(np.asarray(z, dtype=float)))
@@ -212,7 +203,6 @@ class MonteCarloConfig:
     reps: int = 2000
     seed: int = 0
     model: DependenceModel = DependenceModel(kind="uniform", rho=0.0)
-    procedure: ProcedureSpec = ProcedureSpec(name="lr-sd", direction="sd", family="lr")
 
     def __post_init__(self):
         if self.reps < 1:
@@ -326,13 +316,6 @@ def _summarize(name: str, exceed: np.ndarray, power: np.ndarray,
         pw_se = float(np.std(power, ddof=1) / math.sqrt(reps)) if reps > 1 else 0.0
     return MonteCarloReport(procedure=name, exceedance=rate, exceedance_se=rate_se,
                             power=pw, power_se=pw_se, reps=reps, config=config)
-
-
-def run_monte_carlo(config: MonteCarloConfig) -> MonteCarloReport:
-    """Estimate the exceedance probability and average power of one procedure."""
-    out = run_cell(config, [config.procedure])
-    exceed, power = out[config.procedure.name]
-    return _summarize(config.procedure.name, exceed, power, config)
 
 
 def run_grid(base: MonteCarloConfig, procedures, rhos=None, pi0s=None,

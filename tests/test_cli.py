@@ -78,6 +78,11 @@ class TestConstantsCommand:
         assert code_rho == code_ind == 0
         assert data_rows(out_rho) == data_rows(out_ind)
 
+    def test_pairwise_lr_scale_row_is_a_plain_float(self, capsys):
+        code, out, _ = run(capsys, "constants", "--family", "thm34", "--n", "10",
+                           "--k", "2", "--gamma", "1/10", "--rho", "0.3")
+        assert code == 0 and "C,0.5370621909191886" in data_rows(out)
+
     def test_n0_cap_flag_is_gone(self, capsys):
         code, _, err = run(capsys, "constants", "--family", "thm32", "--n", "10",
                            "--gamma", "1/10", "--n0-max", "4")
@@ -141,6 +146,11 @@ class TestTestCommand:
                            "--direction", "su", "--constants", "0.1,0.2")
         assert code == 1 and "[0, 1]" in err
 
+    def test_n_is_read_from_the_pvalue_file(self, capsys, pfile):
+        code, _, err = run(capsys, "test", "--pvalues", pfile, "--direction",
+                           "su", "--constants", "0.02,0.05,0.075", "--n", "5")
+        assert code == 1 and "unrecognized arguments" in err
+
     def test_missing_file(self, capsys):
         code, _, err = run(capsys, "test", "--pvalues", "/nonexistent/p.txt",
                            "--direction", "su", "--constants", "0.1")
@@ -159,13 +169,13 @@ class TestSimulateCommand:
 
         from fdpctl.core import Gamma
         from fdpctl.simlab import (DependenceModel, MonteCarloConfig,
-                                   build_procedure, run_monte_carlo)
-        rep = run_monte_carlo(MonteCarloConfig(
+                                   build_procedure, run_cell)
+        exceed, power = run_cell(MonteCarloConfig(
             n=30, pi0=0.5, gamma=Gamma(1, 10), reps=200, seed=13,
-            model=DependenceModel("uniform", 0.2),
-            procedure=build_procedure("lr-su")))
-        assert float(row[5]) == rep.exceedance
-        assert float(row[7]) == rep.power
+            model=DependenceModel("uniform", 0.2)),
+            [build_procedure("lr-su")])["lr-su"]
+        assert float(row[5]) == float(exceed.mean())
+        assert float(row[7]) == float(np.mean(power))
 
     def test_reps_one_blanks_se_columns(self, capsys):
         code, out, _ = run(capsys, "simulate", "--procedures", "lr-sd",

@@ -46,60 +46,81 @@ class TestTemplates:
         with pytest.raises(ValueError):
             cmod.make_template("custom", 3, custom=[0.4, 0.2, 0.9])
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_values_rejected(self, bad):
+        with pytest.raises(ValueError, match="template values must be finite"):
+            cmod.make_template("custom", 3, custom=[bad, 0.2, 0.3])
+        with pytest.raises(ValueError, match="template values must be finite"):
+            cmod.make_template("custom", 3, custom=[0.1, 0.2, bad])
+        vec = np.array([0.0, 0.01, bad, 0.03])
+        for report in (cmod.posdep_sd_report, cmod.posdep_su_report,
+                       cmod.arbdep_sd_report, cmod.arbdep_su_report):
+            with pytest.raises(ValueError,
+                               match="template values must be finite"):
+                report(vec, G10, 1, 0.05)
+
     def test_beta_domain(self):
         with pytest.raises(ValueError):
             cmod.make_template("bh", 5).values(1.0)
 
 
+def maps_at(n, n0, gamma, k):
+    """mbar, m, m* and mt for one n0, indexed from 0, read from _rank_maps."""
+    mbar = cmod._rank_maps("sd", n, gamma, k)[n0 - k]
+    mt = cmod._rank_maps("su", n, gamma, k)[n0 - k]
+    i = np.arange(mbar.size)
+    slack = np.where(i > 0, mbar - np.maximum(i, k), 0)
+    return mbar, slack, cmod._su_rank_raw(n, gamma)[: n0 + 1], mt
+
+
 class TestIndexMaps:
     def test_hand_example(self):
-        im = cmod.index_maps(10, 7, G10, 1)
-        assert im.n_levels == 1
-        assert im.sd_slack[1] == 3      # all j <= 3 satisfy floor(j/9)+1 = 1
-        assert im.su_rank_raw[1] == 9   # floor(0.1 j) = 0 up to j = 9
-        assert im.su_rank[1] == 4       # min(9, 1 + 3)
+        mbar, slack, raw, mt = maps_at(10, 7, G10, 1)
+        assert mbar.size - 1 == 1     # M = 1 level
+        assert slack[1] == 3          # all j <= 3 satisfy floor(j/9)+1 = 1
+        assert raw[1] == 9            # floor(0.1 j) = 0 up to j = 9
+        assert mt[1] == 4             # min(9, 1 + 3)
 
     def test_gamma_zero(self):
-        im = cmod.index_maps(12, 5, Gamma(0, 1), 1)
-        assert im.n_levels == 1
-        assert im.sd_slack[1] == 7      # m(1) = n1
-        assert np.all(im.su_rank_raw[1:] == 12)
+        mbar, slack, raw, _ = maps_at(12, 5, Gamma(0, 1), 1)
+        assert mbar.size - 1 == 1
+        assert slack[1] == 7          # m(1) = n1
+        assert np.all(raw[1:] == 12)
 
     def test_matches_naive_maps(self):
         for n, n0, g, k in [(8, 3, G10, 1), (12, 7, G4, 2), (9, 9, G10, 3),
                             (10, 4, Gamma(1, 2), 1)]:
-            im = cmod.index_maps(n, n0, g, k)
+            mbar, slack, _, mt = maps_at(n, n0, g, k)
             n1 = n - n0
-            assert im.n_levels == oracle.naive_levels(n0, n1, g)
-            for i in range(1, im.n_levels + 1):
+            assert mbar.size - 1 == oracle.naive_levels(n0, n1, g)
+            for i in range(1, mbar.size):
                 m = oracle.naive_sd_slack(i, n1, g)
-                assert im.sd_slack[i] == m
-                assert im.sd_rank[i] == max(i, k) + m
+                assert slack[i] == m
+                assert mbar[i] == max(i, k) + m
             for i in range(1, n0 + 1):
-                assert im.su_rank[i] == oracle.naive_su_rank(i, n, n1, g)
+                assert mt[i] == oracle.naive_su_rank(i, n, n1, g)
 
     def test_structural_invariants(self):
         for n, n0, k in [(15, 6, 1), (15, 15, 2), (20, 11, 5)]:
-            im = cmod.index_maps(n, n0, G4, k)
+            mbar, slack, _, mt = maps_at(n, n0, G4, k)
             n1 = n - n0
-            assert 1 <= im.n_levels <= n0
-            assert im.sd_slack[0] == 0 and im.sd_rank[0] == 0
-            assert np.all(np.diff(im.sd_slack) >= 0)
-            assert np.all(im.sd_slack <= n1)
-            assert np.all(im.su_rank <= n)
-            assert im.su_rank[0] == 0
-            assert np.all(np.diff(im.su_rank) >= 0)
+            assert 1 <= mbar.size - 1 <= n0
+            assert slack[0] == 0 and mbar[0] == 0
+            assert np.all(np.diff(slack) >= 0)
+            assert np.all(slack <= n1)
+            assert np.all(mt <= n)
+            assert mt[0] == 0
+            assert np.all(np.diff(mt) >= 0)
 
     def test_skipped_levels_rejected(self):
         # gamma = 3/4 jumps the stepdown level map past integers
         with pytest.raises(ValueError, match="gamma <= 1/2"):
-            cmod.index_maps(10, 5, Gamma(3, 4), 1)
+            cmod._rank_maps("sd", 10, Gamma(3, 4), 1)
 
     def test_preconditions(self):
-        with pytest.raises(ValueError):
-            cmod.index_maps(5, 6, G10, 1)
-        with pytest.raises(ValueError):
-            cmod.index_maps(5, 3, G10, 4)
+        for direction in ("sd", "su"):
+            with pytest.raises(ValueError, match="need 1 <= k <= n"):
+                cmod._rank_maps(direction, 5, G10, 6)
 
 
 class TestMarginalFamilies:
@@ -117,10 +138,9 @@ class TestMarginalFamilies:
         alpha = 0.05
         for n in (5, 12, 30):
             tpl = cmod.lr_template(n, G10, alpha)
-            for n0 in range(1, n + 1):
-                im = cmod.index_maps(n, n0, G10, 1)
-                for i in range(1, im.n_levels + 1):
-                    term = n0 * tpl[im.sd_rank[i]] / i
+            for n0, mbar in enumerate(cmod._rank_maps("sd", n, G10, 1), 1):
+                for i in range(1, mbar.size):
+                    term = n0 * tpl[mbar[i]] / i
                     assert term <= alpha + 1e-15
 
     def test_regression_baselines(self):
@@ -141,10 +161,11 @@ class TestMarginalFamilies:
         n = 9
         tpl = cmod.make_template("bh", n).values(0.05)
         rep = cmod.posdep_sd_report(tpl, G10, n, 0.05)
-        im = cmod.index_maps(n, n, G10, n)
-        assert rep.scale == pytest.approx(n * tpl[im.sd_rank[1]] / n, rel=1e-14)
+        (mbar,) = cmod._rank_maps("sd", n, G10, n)
+        (mt,) = cmod._rank_maps("su", n, G10, n)
+        assert rep.scale == pytest.approx(n * tpl[mbar[1]] / n, rel=1e-14)
         rep_su = cmod.posdep_su_report(tpl, G10, n, 0.05)
-        assert rep_su.scale == pytest.approx(tpl[im.su_rank[n]], rel=1e-14)
+        assert rep_su.scale == pytest.approx(tpl[mt[n]], rel=1e-14)
 
     def test_sd_families_coincide_when_single_level(self):
         # gamma n1/(1-gamma) < 1 for every n0 makes the telescope one term
@@ -292,6 +313,14 @@ class TestFamilyRegistry:
                                      template=template, F=self.F)
             assert np.array_equal(got.constants.values,
                                   self.direct(family, template))
+
+    def test_scale_is_a_plain_float(self):
+        # a numpy scalar would print as np.float64(...) in the CLI's C row
+        for family in cmod.FAMILIES:
+            rep = cmod.family_report(family, self.N, G10, self.K, self.ALPHA,
+                                     F=self.F)
+            assert rep.scale is None or type(rep.scale) is float, family
+            assert rep.beta_star is None or type(rep.beta_star) is float
 
     def test_procedure_tokens_resolve_through_registry(self):
         for token, (family, direction) in simlab.PROCEDURE_TOKENS.items():

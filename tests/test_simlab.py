@@ -10,17 +10,26 @@ from fdpctl.core import Gamma, TruthLabels, exceeds_gamma
 from fdpctl.engine import annotate_truth, step_down, step_up
 from fdpctl.pairdist import EquicorrelatedPairs, IndependentPairs
 from fdpctl.simlab import (DependenceModel, MonteCarloConfig, build_procedure,
-                           generate_sample, generate_sample_cholesky,
+                           generate_sample, generate_samples,
                            procedure_constants, run_cell, run_grid,
-                           run_monte_carlo, two_sided_pvalues)
+                           two_sided_pvalues)
 
 G10 = Gamma(1, 10)
 
 
 def draws(model, n, count, seed=9):
-    return np.array([
-        generate_sample(model, np.zeros(n), np.random.default_rng((seed, r)))
-        for r in range(count)
+    """Rows r = 0..count-1 from default_rng((seed, r)), drawn in blocks.
+
+    A row does not depend on its block, so these are the lone draws of
+    generate_sample; blocks of 10,000 rows bound the generators alive at
+    once (about 1 kB each).
+    """
+    block = 10_000
+    return np.concatenate([
+        generate_samples(model, np.zeros(n), [
+            np.random.default_rng((seed, r))
+            for r in range(lo, min(lo + block, count))])
+        for lo in range(0, count, block)
     ])
 
 
@@ -54,20 +63,6 @@ class TestGenerators:
             generate_sample(DependenceModel("block", 0.5, block_size=4),
                             np.zeros(6), np.random.default_rng(0))
 
-    def test_cholesky_path_agrees_with_factor_path(self):
-        n = 6
-        for rho in (0.3, 0.7):
-            corr = (1 - rho) * np.eye(n) + rho * np.ones((n, n))
-            zc = np.array([
-                generate_sample_cholesky(corr, np.zeros(n),
-                                         np.random.default_rng((1, r)))
-                for r in range(60000)
-            ])
-            zf = draws(DependenceModel("uniform", rho), n, 60000, seed=2)
-            cc = np.corrcoef(zc.T)[np.triu_indices(n, 1)].mean()
-            cf = np.corrcoef(zf.T)[np.triu_indices(n, 1)].mean()
-            assert abs(cc - rho) < 0.02 and abs(cf - rho) < 0.02
-
     def test_mean_shift(self):
         mu = np.array([0.0, 3.0])
         z = np.array([generate_sample(DependenceModel("uniform", 0.2), mu,
@@ -93,17 +88,15 @@ class TestTwoSidedPvalues:
 class TestRunMonteCarlo:
     def test_level_under_complete_null(self):
         for token in ("lr-sd", "lr-su"):
-            cfg = MonteCarloConfig(n=100, pi0=1.0, gamma=G10, reps=2000, seed=11,
-                                   procedure=build_procedure(token))
-            rep = run_monte_carlo(cfg)
+            cfg = MonteCarloConfig(n=100, pi0=1.0, gamma=G10, reps=2000, seed=11)
+            (rep,) = run_grid(cfg, [build_procedure(token)])
             assert rep.exceedance <= 0.05 + 3 * rep.exceedance_se
             assert rep.power is None and rep.power_se is None
 
     def test_tiny_constants_reject_nothing(self):
         cfg = MonteCarloConfig(n=20, pi0=0.5, gamma=G10, alpha=1e-12,
-                               reps=200, seed=5,
-                               procedure=build_procedure("lr-su"))
-        rep = run_monte_carlo(cfg)
+                               reps=200, seed=5)
+        (rep,) = run_grid(cfg, [build_procedure("lr-su")])
         assert rep.exceedance == 0.0
         assert rep.power == 0.0
 
@@ -130,10 +123,9 @@ class TestRunMonteCarlo:
 
     def test_seed_determinism(self):
         cfg = MonteCarloConfig(n=50, pi0=0.5, gamma=G10, reps=100, seed=23,
-                               model=DependenceModel("uniform", 0.4),
-                               procedure=build_procedure("lr-su"))
-        a = run_monte_carlo(cfg)
-        b = run_monte_carlo(cfg)
+                               model=DependenceModel("uniform", 0.4))
+        (a,) = run_grid(cfg, [build_procedure("lr-su")])
+        (b,) = run_grid(cfg, [build_procedure("lr-su")])
         assert a.exceedance == b.exceedance and a.power == b.power
 
     def test_pi0_must_make_n0_integral(self):
@@ -324,19 +316,6 @@ class TestExpectationBounds:
 
 
 class TestRunGrid:
-    def test_single_cell_matches_run_monte_carlo(self):
-        proc = build_procedure("lr-sd")
-        base = MonteCarloConfig(n=40, pi0=0.5, gamma=G10, reps=300, seed=3,
-                                procedure=proc)
-        grid = run_grid(base, [proc], rhos=[0.2])
-        single = run_monte_carlo(
-            MonteCarloConfig(n=40, pi0=0.5, gamma=G10, reps=300, seed=3,
-                             model=DependenceModel("uniform", 0.2),
-                             procedure=proc))
-        assert len(grid) == 1
-        assert grid[0].exceedance == single.exceedance
-        assert grid[0].power == single.power
-
     def test_axes_default_to_the_base_cell(self):
         proc = build_procedure("lr-su")
         base = MonteCarloConfig(n=20, pi0=0.5, gamma=G10, reps=100, seed=5,
