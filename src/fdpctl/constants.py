@@ -20,7 +20,8 @@ driven by integer maps evaluated in exact arithmetic:
 * mt(i)   = min(m*(i), i + n1) for i = 0..n0
 
 ``_rank_maps`` is the one source of mbar (stepdown) and mt (stepup) for
-every n0 in [k, n]; every family and both pair bounds read them there.
+every n0 in [k, n]; the marginal families and both pair bounds read them
+there.
 
 m(i) exists for every i in [1, M] exactly when gamma <= 1/2 (the scan
 f(j) = floor(gamma j/(1-gamma)) + 1 then advances in unit steps); larger
