@@ -246,6 +246,19 @@ class TestSimulateCommand:
                              f"--effect={effect}")
         assert code == 1 and "effect must be finite" in err and out == ""
 
+    @pytest.mark.parametrize("argv,message", [
+        (["--pi0", "nan"], "pi0 must lie in [0, 1], got nan"),
+        (["--pi0", "1.5"], "pi0 must lie in [0, 1], got 1.5"),
+        (["--pi0", "0.5,-0.5"], "pi0 must lie in [0, 1], got -0.5"),
+        (["--n", "0"], "n must be >= 1, got 0"),
+    ])
+    def test_bad_cell_names_the_field(self, capsys, argv, message):
+        argv = ["--n", "10", *argv]
+        code, out, err = run(capsys, "simulate", "--procedures", "lr-sd",
+                             "--gamma", "1/10", "--reps", "5", *argv)
+        assert code == 1 and out == ""
+        assert err == f"usage error: {message}\n"
+
 
 class TestVerifyCommand:
     def test_constants_suite_passes(self, capsys):

@@ -28,6 +28,11 @@ class TestGamma:
         with pytest.raises(ValueError):
             Gamma.parse(bad)
 
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+    def test_rejects_non_finite_float(self, bad):
+        with pytest.raises(ValueError, match="gamma must be finite"):
+            Gamma.parse(bad)
+
     @pytest.mark.parametrize("g,i,expected", [
         (Gamma(1, 10), 10, 1),   # exact boundary 0.1 * 10
         (Gamma(1, 10), 9, 0),    # 0.9 floors to 0

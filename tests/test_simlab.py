@@ -1,6 +1,7 @@
 import logging
 import math
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -131,6 +132,16 @@ class TestRunMonteCarlo:
     def test_pi0_must_make_n0_integral(self):
         with pytest.raises(ValueError, match="integral"):
             MonteCarloConfig(n=10, pi0=0.55, gamma=G10)
+
+    @pytest.mark.parametrize("n", [0, -3])
+    def test_n_below_one_rejected(self, n):
+        with pytest.raises(ValueError, match="n must be >= 1"):
+            MonteCarloConfig(n=n, pi0=0.5, gamma=G10)
+
+    @pytest.mark.parametrize("pi0", [math.nan, 1.5, -0.5, math.inf])
+    def test_pi0_outside_unit_interval_rejected(self, pi0):
+        with pytest.raises(ValueError, match=r"pi0 must lie in \[0, 1\]"):
+            MonteCarloConfig(n=10, pi0=pi0, gamma=G10)
 
     def test_all_families_control_level_under_independence(self):
         # pi0 = 1, rho = 0: every family's guarantee applies
@@ -326,6 +337,30 @@ class TestRunGrid:
         assert default.config.model.rho == 0.4
         assert (default.exceedance, default.power) == \
             (explicit.exceedance, explicit.power)
+
+    def test_each_procedure_keeps_its_own_k(self):
+        # one cell, three lr-su procedures that differ only in k
+        cfg = MonteCarloConfig(n=20, pi0=0.5, gamma=G10, reps=400, seed=1,
+                               model=DependenceModel("uniform", 0.5))
+        procs = [replace(build_procedure("lr-su", k=k), name=f"lr-su k={k}")
+                 for k in (1, 2, 3)]
+        reports = run_grid(cfg, procs)
+        assert [rep.exceedance for rep in reports] == [0.0225, 0.0125, 0.0075]
+        for spec, rep in zip(procs, reports):
+            (exceed, _), = run_cell(cfg, [spec]).values()
+            assert rep.exceedance == float(exceed.mean()), spec.name
+
+    def test_pairwise_generalization_runs_at_its_own_k(self):
+        cfg = MonteCarloConfig(n=20, pi0=0.5, gamma=G10, reps=50, seed=2,
+                               model=DependenceModel("uniform", 0.3))
+        (rep,) = run_grid(cfg, [build_procedure("thm34-su", k=2)])
+        assert rep.procedure == "thm34-su" and 0.0 <= rep.exceedance <= 1.0
+
+    def test_one_replication_has_no_standard_errors(self):
+        cfg = MonteCarloConfig(n=20, pi0=0.5, gamma=G10, reps=1, seed=3)
+        (rep,) = run_grid(cfg, [build_procedure("lr-su")])
+        assert rep.power is not None
+        assert rep.exceedance_se is None and rep.power_se is None
 
     def test_thread_count_does_not_change_results(self):
         base = MonteCarloConfig(n=30, pi0=0.5, gamma=G10, reps=200, seed=19)
