@@ -192,7 +192,7 @@ def cmd_simulate(args) -> int:
     if not rhos or not pi0s:
         raise UsageError("empty sweep axis")
     base = simlab.MonteCarloConfig(
-        n=args.n, pi0=pi0s[0], gamma=gamma, k=args.k, alpha=args.alpha,
+        n=args.n, pi0=pi0s[0], gamma=gamma, alpha=args.alpha,
         effect=args.effect, reps=args.reps, seed=args.seed,
         model=replace(model, rho=rhos[0]),
     )
@@ -207,11 +207,10 @@ def cmd_simulate(args) -> int:
     lines.append("procedure,rho,pi0,gamma,k,exceedance,exceedance_se,power,power_se")
     for rep in reports:
         cfg = rep.config
-        se = "" if rep.reps < 2 else _fmt(rep.exceedance_se)
-        pw_se = "" if (rep.power_se is None or rep.reps < 2) else _fmt(rep.power_se)
         lines.append(
             f"{rep.procedure},{_fmt(cfg.model.rho)},{_fmt(cfg.pi0)},{cfg.gamma},"
-            f"{cfg.k},{_fmt(rep.exceedance)},{se},{_fmt(rep.power)},{pw_se}"
+            f"{args.k},{_fmt(rep.exceedance)},{_fmt(rep.exceedance_se)},"
+            f"{_fmt(rep.power)},{_fmt(rep.power_se)}"
         )
     _emit(lines, args.output)
     if args.svg:

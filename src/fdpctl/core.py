@@ -67,6 +67,8 @@ class Gamma:
         elif isinstance(value, int):
             frac = Fraction(value)
         elif isinstance(value, float):
+            if not math.isfinite(value):
+                raise ValueError(f"gamma must be finite, got {value!r}")
             frac = Fraction(value).limit_denominator(10**12)
             if abs(frac - Fraction(value)) > FLOAT_SNAP_TOL:
                 raise ValueError(

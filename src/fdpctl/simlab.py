@@ -12,12 +12,12 @@ the same sample per replication (common random numbers), which makes
 stepup-vs-stepdown power comparisons pointwise rather than merely in
 distribution.
 
-``run_cell`` is the one simulation path: ``run_grid`` sweeps cells
-through it and summarizes each procedure as a ``MonteCarloReport``.  A
-cell runs its replications in blocks of at most ``_BLOCK_VALUES`` sampled
-values: each block is generated, converted to p-values and scanned by
-every procedure with array operations, so peak memory is O(block)
-whatever the number of replications.
+``run_cell`` is the one simulation path: ``run_grid`` sweeps a rho x pi0
+grid of cells through it and summarizes each procedure, at its own k, as
+a ``MonteCarloReport``.  A cell runs its replications in blocks of at most
+``_BLOCK_VALUES`` sampled values: each block is generated, converted to
+p-values and scanned by every procedure with array operations, so peak
+memory is O(block) whatever the number of replications.
 
 Conventions (the data model leaves them open): the signal means occupy the
 last (1-pi0)n positions, which matters only under AR(1); two-sided
@@ -197,7 +197,6 @@ class MonteCarloConfig:
     n: int
     pi0: float
     gamma: Gamma
-    k: int = 1
     alpha: float = 0.05
     effect: float = DEFAULT_EFFECT
     reps: int = 2000
@@ -209,6 +208,10 @@ class MonteCarloConfig:
             raise ValueError("reps must be >= 1")
         if not math.isfinite(self.effect):
             raise ValueError(f"effect must be finite, got {self.effect}")
+        if not self.n >= 1:
+            raise ValueError(f"n must be >= 1, got {self.n}")
+        if not 0.0 <= self.pi0 <= 1.0:
+            raise ValueError(f"pi0 must lie in [0, 1], got {self.pi0}")
         n0 = self.pi0 * self.n
         if abs(n0 - round(n0)) > 1e-9:
             raise ValueError(f"pi0*n must be integral, got {n0}")
@@ -220,15 +223,14 @@ class MonteCarloConfig:
 
 @dataclass(frozen=True)
 class MonteCarloReport:
-    """Estimated exceedance rate and average power with standard errors."""
+    """Exceedance rate and power; each standard error is None at one replication."""
 
     procedure: str
     exceedance: float
-    exceedance_se: float
+    exceedance_se: float | None
     power: float | None
     power_se: float | None
-    reps: int
-    config: MonteCarloConfig | None = None
+    config: MonteCarloConfig
 
 
 def _pairwise_for(model: DependenceModel) -> PairwiseNull:
@@ -250,8 +252,8 @@ def run_cell(config: MonteCarloConfig, procedures) -> dict:
     converted to p-values and scanned by all procedures at once, so memory
     is O(block) and every replication gets the numbers of a lone
     step_down/step_up run.  Each procedure's exceedance indicator uses its
-    own generalization order spec.k (config.k is only the sweep default),
-    so mixed-k cells estimate each procedure's own error rate.  One DEBUG
+    own generalization order spec.k, so mixed-k cells estimate each
+    procedure's own error rate.  One DEBUG
     record on the "fdpctl" logger gives the cell's per-layer seconds.
     """
     procedures = list(procedures)
@@ -308,48 +310,38 @@ def _summarize(name: str, exceed: np.ndarray, power: np.ndarray,
                config: MonteCarloConfig) -> MonteCarloReport:
     reps = exceed.size
     rate = float(exceed.mean())
-    rate_se = math.sqrt(rate * (1.0 - rate) / reps) if reps > 1 else 0.0
+    rate_se = math.sqrt(rate * (1.0 - rate) / reps) if reps > 1 else None
     if np.isnan(power).all():
         pw, pw_se = None, None
     else:
         pw = float(np.mean(power))
-        pw_se = float(np.std(power, ddof=1) / math.sqrt(reps)) if reps > 1 else 0.0
+        pw_se = float(np.std(power, ddof=1) / math.sqrt(reps)) if reps > 1 else None
     return MonteCarloReport(procedure=name, exceedance=rate, exceedance_se=rate_se,
-                            power=pw, power_se=pw_se, reps=reps, config=config)
+                            power=pw, power_se=pw_se, config=config)
 
 
 def run_grid(base: MonteCarloConfig, procedures, rhos=None, pi0s=None,
-             gammas=None, ks=None, threads: int = 1) -> list:
-    """Cartesian sweep; one report per (procedure, cell), coupled within cells.
+             threads: int = 1) -> list:
+    """Sweep rho x pi0, rho-major; one report per (cell, procedure).
 
-    With threads > 1 the cells run on a thread pool; per-cell work is pure
-    and reports are collected in sweep order, so the output does not depend
-    on the worker count.
+    An axis left as None holds the base cell's value; each procedure keeps
+    its own k.  With threads > 1 the cells run on a thread pool; per-cell
+    work is pure and reports are collected in sweep order, so the output
+    does not depend on the worker count.
     """
     procedures = list(procedures)
     if not procedures:
         raise ValueError("empty procedure list")
     rhos = [base.model.rho] if rhos is None else list(rhos)
     pi0s = [base.pi0] if pi0s is None else list(pi0s)
-    gammas = [base.gamma] if gammas is None else [Gamma.parse(g) for g in gammas]
-    ks = [base.k] if ks is None else list(ks)
-    if not (rhos and pi0s and gammas and ks):
+    if not (rhos and pi0s):
         raise ValueError("empty sweep axis")
-    cells = []
-    for gamma in gammas:
-        for k in ks:
-            for rho in rhos:
-                for pi0 in pi0s:
-                    cfg = replace(
-                        base, pi0=pi0, gamma=gamma, k=k,
-                        model=replace(base.model, rho=float(rho)),
-                    )
-                    cells.append((cfg, [replace(s, k=k) for s in procedures]))
+    cells = [replace(base, pi0=pi0, model=replace(base.model, rho=float(rho)))
+             for rho in rhos for pi0 in pi0s]
 
-    def work(cell):
-        cfg, specs = cell
-        out = run_cell(cfg, specs)
-        return [_summarize(s.name, *out[s.name], cfg) for s in specs]
+    def work(cfg):
+        return [_summarize(name, *out, cfg)
+                for name, out in run_cell(cfg, procedures).items()]
 
     if threads > 1:
         from concurrent.futures import ThreadPoolExecutor
@@ -357,5 +349,5 @@ def run_grid(base: MonteCarloConfig, procedures, rhos=None, pi0s=None,
         with ThreadPoolExecutor(max_workers=threads) as pool:
             chunks = list(pool.map(work, cells))
     else:
-        chunks = [work(cell) for cell in cells]
+        chunks = [work(cfg) for cfg in cells]
     return [report for chunk in chunks for report in chunk]

@@ -117,7 +117,7 @@ def test_criterion_4_generalized_exceedance_control():
         procs = [build_procedure(t, k=k) for t in tokens]
         for rho in (0.0, 0.1, 0.5):
             for pi0 in (0.5, 0.8):
-                cfg = MonteCarloConfig(n=100, pi0=pi0, gamma=G10, k=k,
+                cfg = MonteCarloConfig(n=100, pi0=pi0, gamma=G10,
                                        reps=2000, seed=7001,
                                        model=DependenceModel("uniform", rho))
                 out = run_cell(cfg, procs)

@@ -157,6 +157,34 @@ class TestRunMonteCarlo:
             assert rate <= 0.05 + 3 * se, name
 
 
+class TestLevelUnderDependence:
+    # thm35/thm36 hold under any dependence, so under all three models;
+    # thm37/thm38 are calibrated to a common pairwise law, which only the
+    # uniform model has.  Each cell must meet alpha + 3 se; the seed is
+    # fixed once.
+    def test_arbitrary_dependence_families_control_level(self):
+        base = MonteCarloConfig(n=50, pi0=0.5, gamma=G10, reps=4000, seed=4242)
+        marginal = [build_procedure("thm35"), build_procedure("thm36")]
+        grids = {"uniform": marginal + [build_procedure("thm37"),
+                                        build_procedure("thm38")],
+                 "block:10": marginal, "ar1": marginal}
+        reports = [rep for text, procs in grids.items()
+                   for rep in run_grid(
+                       replace(base, model=DependenceModel.parse(text)), procs,
+                       rhos=[0.3, 0.8], pi0s=[0.5, 0.9, 1.0])]
+        assert len(reports) == 6 * 8
+        ratio = {}
+        for rep in reports:
+            ratio[rep.procedure] = max(ratio.get(rep.procedure, 0.0),
+                                       rep.exceedance / base.alpha)
+        failed = [f"{rep.procedure}@{rep.config.model.kind},"
+                  f"rho={rep.config.model.rho},pi0={rep.config.pi0}: "
+                  f"{rep.exceedance}" for rep in reports
+                  if rep.exceedance > base.alpha + 3 * rep.exceedance_se]
+        assert not failed, (failed, {name: f"{value:.3f}"
+                                     for name, value in ratio.items()})
+
+
 def literal_cell(cfg, procedures):
     """run_cell as a plain loop over replications and procedures."""
     n1 = cfg.n - cfg.n0
@@ -205,8 +233,8 @@ class TestAgainstLiteralLoop:
         if model.kind == "uniform":
             tokens += ("thm37", "thm38") + (("thm34-sd", "thm34-su") if k > 1 else ())
         procs = [build_procedure(t, k=k) for t in tokens]
-        cfg = MonteCarloConfig(n=20, pi0=pi0, gamma=gamma, k=k, reps=60,
-                               seed=37, model=model)
+        cfg = MonteCarloConfig(n=20, pi0=pi0, gamma=gamma, reps=60, seed=37,
+                               model=model)
         assert_cells_equal(run_cell(cfg, procs), literal_cell(cfg, procs))
 
     @pytest.mark.parametrize("model", [DependenceModel("uniform", 0.0),
@@ -332,8 +360,7 @@ class TestRunGrid:
         base = MonteCarloConfig(n=20, pi0=0.5, gamma=G10, reps=100, seed=5,
                                 model=DependenceModel("uniform", 0.4))
         (default,) = run_grid(base, [proc])
-        (explicit,) = run_grid(base, [proc], rhos=[0.4], pi0s=[0.5],
-                               gammas=[G10], ks=[1])
+        (explicit,) = run_grid(base, [proc], rhos=[0.4], pi0s=[0.5])
         assert default.config.model.rho == 0.4
         assert (default.exceedance, default.power) == \
             (explicit.exceedance, explicit.power)
