@@ -85,23 +85,21 @@ def _parse_floats(text: str) -> list:
 # ---------------------------------------------------------------------------
 # constants
 
-def _family_report(args, gamma: Gamma, n: int):
-    F = None
-    if cmod.FAMILIES[args.family].pairwise:
-        model = args.f or args.rho
-        if model is None:
-            raise UsageError(f"family {args.family} needs --rho or --f independence")
-        F = make_pairwise(model)
-    return cmod.family_report(args.family, n, gamma, args.k, args.alpha,
-                              template=args.template, F=F)
+def _pairwise(args):
+    """F for a family that needs one, from --rho; None otherwise."""
+    if not cmod.FAMILIES[args.family].pairwise:
+        return None
+    if args.rho is None:
+        raise UsageError(f"family {args.family} needs --rho")
+    return make_pairwise(args.rho)
 
 
 def cmd_constants(args) -> int:
     gamma = _parse_gamma(args.gamma)
-    report = _family_report(args, gamma, args.n)
+    report = cmod.family_report(args.family, args.n, gamma, args.k, args.alpha,
+                                template=args.template, F=_pairwise(args))
     params = dict(family=args.family, n=args.n, gamma=str(gamma), alpha=args.alpha,
-                  k=args.k, template=args.template, rho=getattr(args, "rho", None),
-                  f=getattr(args, "f", None))
+                  k=args.k, template=args.template, rho=args.rho)
     lines = _manifest("constants", params)
     lines.append("i,alpha_i")
     for i, value in enumerate(report.constants.values, start=1):
@@ -134,7 +132,7 @@ def _read_pvalues(path: str) -> np.ndarray:
     if not vals:
         raise UsageError(f"no p-values found in {path}")
     arr = np.asarray(vals)
-    if arr.min() < 0.0 or arr.max() > 1.0:
+    if not ((arr >= 0.0) & (arr <= 1.0)).all():
         raise UsageError("p-values must lie in [0, 1]")
     return arr
 
@@ -151,7 +149,11 @@ def cmd_test(args) -> int:
         if args.gamma is None:
             raise UsageError("family-based constants need --gamma")
         gamma = _parse_gamma(args.gamma)
-        constants = _family_report(args, gamma, p.size).constants
+        spec = simlab.ProcedureSpec(name=args.family, direction=args.direction,
+                                    family=args.family, k=args.k,
+                                    template=args.template)
+        constants = simlab.procedure_constants(spec, p.size, gamma, args.alpha,
+                                               F=_pairwise(args))
         gamma_txt = str(gamma)
     else:
         raise UsageError("test needs either --constants or --family")
@@ -274,8 +276,6 @@ def _add_constant_flags(sub, family_required=True):
     sub.add_argument("--template", choices=("lr", "bh", "gbs"), default="lr")
     sub.add_argument("--rho", type=float, default=None,
                      help="equicorrelation of the pairwise null model")
-    sub.add_argument("--f", choices=("independence",), default=None,
-                     help="named pairwise null model")
     sub.add_argument("-o", "--output", default=None, help="CSV output path")
 
 

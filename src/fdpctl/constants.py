@@ -220,7 +220,6 @@ def _su_rank(n0: int, n1: int, raw: np.ndarray) -> np.ndarray:
 class ConstantsReport:
     """Constants plus the enumeration evidence that produced them."""
 
-    family: str
     constants: CriticalConstants
     scale: float | None = None      # worst-case rescaling constant
     worst_n0: int | None = None     # n0 attaining the maximum
@@ -303,8 +302,8 @@ def _marginal_scale(direction: str, value, tpl: np.ndarray, gamma: Gamma,
     return _worst_over_n0(lambda n0: value(tpl[maps[n0 - k]], k, n0), n, k)
 
 
-def _marginal_report(family: str, direction: str, value, tpl, gamma: Gamma,
-                     k: int, alpha: float) -> ConstantsReport:
+def _marginal_report(direction: str, value, tpl, gamma: Gamma, k: int,
+                     alpha: float) -> ConstantsReport:
     """Template flattened at rank k and rescaled by alpha / C."""
     tpl = np.asarray(tpl, dtype=float)
     scale, worst_n0 = _marginal_scale(direction, value, tpl, gamma, k)
@@ -314,7 +313,7 @@ def _marginal_report(family: str, direction: str, value, tpl, gamma: Gamma,
         raise ValueError(
             f"rescaled constants reach {values[-1]:.6g} >= 1; lower alpha"
         )
-    return ConstantsReport(family=family, scale=scale, worst_n0=worst_n0,
+    return ConstantsReport(scale=scale, worst_n0=worst_n0,
                            constants=CriticalConstants(values=values, k=k))
 
 
@@ -324,14 +323,12 @@ def posdep_sd_report(tpl, gamma: Gamma, k: int, alpha: float) -> ConstantsReport
     Rescales the template by C = max over n0 and levels i of
     n0 * tpl[mbar(i)] / (i v k).
     """
-    return _marginal_report("posdep-sd", "sd", _posdep_sd_value, tpl, gamma,
-                            k, alpha)
+    return _marginal_report("sd", _posdep_sd_value, tpl, gamma, k, alpha)
 
 
 def posdep_su_report(tpl, gamma: Gamma, k: int, alpha: float) -> ConstantsReport:
     """Stepup analog of ``posdep_sd_report``: C = max n0 * tpl[mt(i)] / i."""
-    return _marginal_report("posdep-su", "su", _posdep_su_value, tpl, gamma,
-                            k, alpha)
+    return _marginal_report("su", _posdep_su_value, tpl, gamma, k, alpha)
 
 
 def arbdep_sd_report(tpl, gamma: Gamma, k: int, alpha: float) -> ConstantsReport:
@@ -340,14 +337,12 @@ def arbdep_sd_report(tpl, gamma: Gamma, k: int, alpha: float) -> ConstantsReport
     C = max over n0 of the telescoping sum
     n0 * sum_i (tpl[mbar(i)] - tpl[mbar(i-1)]) / (i v k).
     """
-    return _marginal_report("arbdep-sd", "sd", _arbdep_sd_value, tpl, gamma,
-                            k, alpha)
+    return _marginal_report("sd", _arbdep_sd_value, tpl, gamma, k, alpha)
 
 
 def arbdep_su_report(tpl, gamma: Gamma, k: int, alpha: float) -> ConstantsReport:
     """Stepup analog of ``arbdep_sd_report`` built on the mt(i) ranks."""
-    return _marginal_report("arbdep-su", "su", _arbdep_su_value, tpl, gamma,
-                            k, alpha)
+    return _marginal_report("su", _arbdep_su_value, tpl, gamma, k, alpha)
 
 
 def sd_marginal_bound(tpl, gamma: Gamma) -> float:
@@ -373,8 +368,7 @@ def su_marginal_bound(tpl, gamma: Gamma) -> float:
 def lr_constants(n: int, gamma: Gamma, alpha: float) -> ConstantsReport:
     """The Lehmann-Romano critical constants at level alpha (k = 1 family)."""
     vals = lr_template(n, gamma, alpha)[1:]
-    return ConstantsReport(family="lr",
-                           constants=CriticalConstants(values=vals, k=1))
+    return ConstantsReport(constants=CriticalConstants(values=vals, k=1))
 
 
 def pairwise_lr_report(n: int, gamma: Gamma, k: int, alpha: float,
@@ -413,7 +407,7 @@ def pairwise_lr_report(n: int, gamma: Gamma, k: int, alpha: float,
         raise ValueError(
             f"inflated constants reach {values[-1]:.6g} >= 1; lower alpha"
         )
-    return ConstantsReport(family="pairwise-lr", scale=best, worst_n0=best_n0,
+    return ConstantsReport(scale=best, worst_n0=best_n0,
                            constants=CriticalConstants(values=values, k=k))
 
 
@@ -635,9 +629,8 @@ def calibrate_pair_scale(direction: str, template: Template, gamma: Gamma,
     tpl_star = template.values(beta_star)
     ranks = np.maximum(np.arange(1, template.n + 1), k)
     constants = CriticalConstants(values=tpl_star[ranks], k=k)
-    return ConstantsReport(family=f"pair-{direction}", constants=constants,
-                           scale=final.value, worst_n0=final.worst_n0,
-                           beta_star=beta_star)
+    return ConstantsReport(constants=constants, scale=final.value,
+                           worst_n0=final.worst_n0, beta_star=beta_star)
 
 
 # ---------------------------------------------------------------------------
@@ -669,12 +662,15 @@ def family_report(family: str, n: int, gamma: Gamma, k: int, alpha: float,
                   F: PairwiseNull | None = None) -> ConstantsReport:
     """Build one ``FAMILIES`` entry; lr and thm34 ignore ``template``.
 
-    Every family needs 1 <= k <= n, also those that do not use k.
+    Every family needs 1 <= k <= n, also those that do not use k, and
+    0 < alpha < 1.
     """
     if family not in FAMILIES:
         raise ValueError(f"unknown constants family {family!r}; "
                          f"known: {', '.join(FAMILIES)}")
     _check_k(n, k)
+    if not 0.0 < alpha < 1.0:
+        raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
     fam = FAMILIES[family]
     if fam.pairwise and F is None:
         raise ValueError(f"family {family} needs a pairwise null model")

@@ -84,6 +84,8 @@ class DependenceModel:
         """'uniform', 'ar1', or 'block:<size>' (rho supplied separately)."""
         kind, _, arg = text.partition(":")
         if kind == "block":
+            if not (arg.isdecimal() and int(arg) >= 1):
+                raise ValueError(f"block size must be a positive integer, got {arg!r}")
             return cls(kind="block", rho=0.0, block_size=int(arg))
         if arg:
             raise ValueError(f"unexpected argument in dependence {text!r}")
@@ -144,7 +146,8 @@ class ProcedureSpec:
 
     ``family`` is a key of ``constants.FAMILIES``; ``direction`` picks the
     stepwise engine and ``template`` the base constants for the rescaled
-    and calibrated families.
+    and calibrated families.  The pair must be one of
+    ``PROCEDURE_TOKENS``: a family with its own direction runs only in it.
     """
 
     name: str
@@ -154,10 +157,9 @@ class ProcedureSpec:
     template: str = "lr"
 
     def __post_init__(self):
-        if self.direction not in ("su", "sd"):
-            raise ValueError(f"direction must be su or sd, got {self.direction!r}")
-        if self.family not in cmod.FAMILIES:
-            raise ValueError(f"unknown constant family {self.family!r}")
+        if (self.family, self.direction) not in PROCEDURE_TOKENS.values():
+            raise ValueError(f"no procedure runs family {self.family!r} in "
+                             f"direction {self.direction!r}")
 
     @property
     def uses_pairwise(self) -> bool:

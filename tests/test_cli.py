@@ -2,6 +2,9 @@ import numpy as np
 import pytest
 
 from fdpctl import cli, oracle
+from fdpctl.constants import family_report
+from fdpctl.core import Gamma
+from fdpctl.pairdist import IndependentPairs
 
 
 def run(capsys, *argv):
@@ -57,7 +60,7 @@ class TestConstantsCommand:
 
     def test_calibrated_family_reports_beta(self, capsys):
         code, out, _ = run(capsys, "constants", "--family", "thm38", "--n", "8",
-                           "--gamma", "1/10", "--f", "independence")
+                           "--gamma", "1/10", "--rho", "0")
         assert code == 0
         assert any(r.startswith("beta_star,") for r in data_rows(out))
 
@@ -71,12 +74,32 @@ class TestConstantsCommand:
     @pytest.mark.parametrize("family, k", [("thm34", "2"), ("thm37", "1"),
                                            ("thm38", "1")])
     def test_rho_zero_is_independence(self, capsys, family, k):
-        common = ("constants", "--family", family, "--n", "20", "--k", k,
-                  "--gamma", "1/10")
-        code_rho, out_rho, _ = run(capsys, *common, "--rho", "0")
-        code_ind, out_ind, _ = run(capsys, *common, "--f", "independence")
-        assert code_rho == code_ind == 0
-        assert data_rows(out_rho) == data_rows(out_ind)
+        code, out, _ = run(capsys, "constants", "--family", family, "--n", "20",
+                           "--k", k, "--gamma", "1/10", "--rho", "0")
+        report = family_report(family, 20, Gamma(1, 10), int(k), 0.05,
+                               F=IndependentPairs())
+        expected = ["i,alpha_i"] + [
+            f"{i},{float(v)!r}"
+            for i, v in enumerate(report.constants.values, start=1)]
+        expected.append(f"C,{report.scale!r}")
+        if report.beta_star is not None:
+            expected.append(f"beta_star,{report.beta_star!r}")
+        assert code == 0
+        assert data_rows(out) == expected
+
+    def test_named_model_flag_is_gone(self, capsys):
+        # argparse reads the prefix --f as --family, which has no such choice
+        code, out, _ = run(capsys, "constants", "--family", "thm37", "--n", "8",
+                           "--gamma", "1/10", "--f", "independence")
+        assert code == 1 and out == ""
+
+    @pytest.mark.parametrize("alpha", ["nan", "0", "1", "2"])
+    @pytest.mark.parametrize("family", ["lr", "thm35", "thm37"])
+    def test_alpha_outside_unit_interval_is_named(self, capsys, family, alpha):
+        code, out, err = run(capsys, "constants", "--family", family, "--n", "8",
+                             "--gamma", "1/10", "--rho", "0.3", "--alpha", alpha)
+        assert code == 1 and out == ""
+        assert err == f"usage error: alpha must lie in (0, 1), got {float(alpha)}\n"
 
     def test_pairwise_lr_scale_row_is_a_plain_float(self, capsys):
         code, out, _ = run(capsys, "constants", "--family", "thm34", "--n", "10",
@@ -100,7 +123,7 @@ class TestConstantsCommand:
 
     def test_unattainable_calibration_is_numeric_failure(self, capsys):
         code, _, err = run(capsys, "constants", "--family", "thm37", "--n", "5",
-                           "--gamma", "1/10", "--f", "independence",
+                           "--gamma", "1/10", "--rho", "0",
                            "--alpha", "1e-15")
         assert code == 3 and "unattainable" in err
 
@@ -127,10 +150,15 @@ class TestTestCommand:
         assert rows[1].endswith(",1") and rows[2].endswith(",0")
 
     def test_family_constants_path(self, capsys, pfile):
-        code, out, _ = run(capsys, "test", "--pvalues", pfile, "--direction",
-                           "su", "--family", "lr", "--gamma", "1/10",
-                           "--alpha", "0.2")
-        assert code == 0 and data_rows(out)[-1].startswith("R,")
+        # lr and thm34 leave the direction open, so both run either way
+        for family, k in [("lr", "1"), ("thm34", "2")]:
+            for direction in ["sd", "su"]:
+                code, out, _ = run(capsys, "test", "--pvalues", pfile,
+                                   "--direction", direction, "--family", family,
+                                   "--k", k, "--gamma", "1/10", "--alpha", "0.2",
+                                   "--rho", "0.3")
+                assert code == 0 and data_rows(out)[-1].startswith("R,"), \
+                    (family, direction)
 
     def test_empty_file_is_usage_error(self, capsys, tmp_path):
         path = tmp_path / "empty.txt"
@@ -141,10 +169,29 @@ class TestTestCommand:
 
     def test_out_of_range_pvalue(self, capsys, tmp_path):
         path = tmp_path / "bad.txt"
-        path.write_text("0.5\n1.5\n")
-        code, _, err = run(capsys, "test", "--pvalues", str(path),
-                           "--direction", "su", "--constants", "0.1,0.2")
-        assert code == 1 and "[0, 1]" in err
+        # a NaN must fail here, before the family's constants are built
+        sources = [("--constants", "0.1,0.2"),
+                   ("--family", "thm34", "--k", "1", "--gamma", "1/10",
+                    "--rho", "0.3")]
+        for bad in ["1.5", "-0.5", "nan"]:
+            path.write_text(f"0.5\n{bad}\n")
+            for source in sources:
+                code, _, err = run(capsys, "test", "--pvalues", str(path),
+                                   "--direction", "su", *source)
+                assert (code, err) == \
+                    (1, "usage error: p-values must lie in [0, 1]\n"), (bad, source)
+
+    @pytest.mark.parametrize("family, direction", [
+        ("thm32", "su"), ("thm33", "sd"), ("thm35", "su"),
+        ("thm36", "sd"), ("thm37", "su"), ("thm38", "sd"),
+    ])
+    def test_family_outside_its_direction_is_usage_error(
+            self, capsys, pfile, family, direction):
+        code, out, err = run(capsys, "test", "--pvalues", pfile, "--direction",
+                             direction, "--family", family, "--gamma", "1/10",
+                             "--rho", "0.3")
+        assert code == 1 and out == ""
+        assert f"family '{family}' in direction '{direction}'" in err
 
     def test_n_is_read_from_the_pvalue_file(self, capsys, pfile):
         code, _, err = run(capsys, "test", "--pvalues", pfile, "--direction",
@@ -251,6 +298,13 @@ class TestSimulateCommand:
         (["--pi0", "1.5"], "pi0 must lie in [0, 1], got 1.5"),
         (["--pi0", "0.5,-0.5"], "pi0 must lie in [0, 1], got -0.5"),
         (["--n", "0"], "n must be >= 1, got 0"),
+        (["--alpha", "nan"], "alpha must lie in (0, 1), got nan"),
+        (["--alpha", "0"], "alpha must lie in (0, 1), got 0.0"),
+        (["--alpha", "2"], "alpha must lie in (0, 1), got 2.0"),
+        (["--dependence", "block:x"],
+         "block size must be a positive integer, got 'x'"),
+        (["--dependence", "block:"],
+         "block size must be a positive integer, got ''"),
     ])
     def test_bad_cell_names_the_field(self, capsys, argv, message):
         argv = ["--n", "10", *argv]

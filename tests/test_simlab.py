@@ -10,8 +10,8 @@ from fdpctl import simlab
 from fdpctl.core import Gamma, TruthLabels, exceeds_gamma
 from fdpctl.engine import annotate_truth, step_down, step_up
 from fdpctl.pairdist import EquicorrelatedPairs, IndependentPairs
-from fdpctl.simlab import (DependenceModel, MonteCarloConfig, build_procedure,
-                           generate_sample, generate_samples,
+from fdpctl.simlab import (DependenceModel, MonteCarloConfig, ProcedureSpec,
+                           build_procedure, generate_sample, generate_samples,
                            procedure_constants, run_cell, run_grid,
                            two_sided_pvalues)
 
@@ -421,6 +421,17 @@ class TestProcedureResolution:
     def test_unknown_token(self):
         with pytest.raises(ValueError, match="unknown procedure"):
             build_procedure("thm99")
+
+    # the theorems prove thm32/33/35/36/37/38 in one direction only
+    @pytest.mark.parametrize("family, direction", [
+        ("thm32", "su"), ("thm33", "sd"), ("thm35", "su"),
+        ("thm36", "sd"), ("thm37", "su"), ("thm38", "sd"),
+        ("thm99", "sd"), ("lr", "up"),
+    ])
+    def test_pair_outside_the_tokens_is_rejected(self, family, direction):
+        with pytest.raises(ValueError, match=f"family '{family}' in "
+                                             f"direction '{direction}'"):
+            ProcedureSpec(name="x", direction=direction, family=family)
 
     def test_constants_cover_all_tokens(self):
         from fdpctl.pairdist import EquicorrelatedPairs
