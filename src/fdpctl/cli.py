@@ -1,8 +1,8 @@
 """Command-line front end: constants tables, testing, simulation grids, verify.
 
 All tabular output is CSV with a manifest embedded as leading '#' comment
-lines (subcommand, parameter echo, seed, version, timestamp) so every file
-records how to reproduce it.  Numeric fields use round-trip decimal
+lines (version, subcommand, every parsed argument as typed, timestamp) so
+every file records how to reproduce it.  Numeric fields use round-trip decimal
 formatting with '.' as the separator regardless of locale.
 
 Exit codes: 0 success, 1 usage error, 2 verification failure, 3 numeric
@@ -54,9 +54,15 @@ def _timestamp() -> str:
     return datetime.now(timezone.utc).strftime("%Y-%m-%dT%H:%M:%SZ")
 
 
-def _manifest(subcommand: str, params: dict) -> list:
-    lines = [f"# fdpctl {__version__} {subcommand}"]
-    lines += [f"# {key}={_fmt(val)}" for key, val in params.items()]
+# where the output goes or how fast it is made, not what it holds
+_UNECHOED = ("subcommand", "output", "svg", "threads")
+
+
+def _manifest(args, **derived) -> list:
+    """Echo every parsed argument in parser order, then the derived values."""
+    lines = [f"# fdpctl {__version__} {args.subcommand}"]
+    lines += [f"# {key}={_fmt(val)}" for key, val in {**vars(args), **derived}.items()
+              if key not in _UNECHOED]
     lines.append(f"# timestamp={_timestamp()}")
     return lines
 
@@ -98,9 +104,7 @@ def cmd_constants(args) -> int:
     gamma = _parse_gamma(args.gamma)
     report = cmod.family_report(args.family, args.n, gamma, args.k, args.alpha,
                                 template=args.template, F=_pairwise(args))
-    params = dict(family=args.family, n=args.n, gamma=str(gamma), alpha=args.alpha,
-                  k=args.k, template=args.template, rho=args.rho)
-    lines = _manifest("constants", params)
+    lines = _manifest(args)
     lines.append("i,alpha_i")
     for i, value in enumerate(report.constants.values, start=1):
         lines.append(f"{i},{_fmt(float(value))}")
@@ -139,13 +143,12 @@ def _read_pvalues(path: str) -> np.ndarray:
 
 def cmd_test(args) -> int:
     p = _read_pvalues(args.pvalues)
-    if args.constants:
+    if args.constants is not None:
         vals = np.asarray(_parse_floats(args.constants))
         if vals.size != p.size:
             raise UsageError(f"{vals.size} constants for {p.size} p-values")
         constants = CriticalConstants(values=vals, k=args.k)
-        gamma_txt = args.gamma or "0"
-    elif args.family:
+    else:
         if args.gamma is None:
             raise UsageError("family-based constants need --gamma")
         gamma = _parse_gamma(args.gamma)
@@ -154,17 +157,10 @@ def cmd_test(args) -> int:
                                     template=args.template)
         constants = simlab.procedure_constants(spec, p.size, gamma, args.alpha,
                                                F=_pairwise(args))
-        gamma_txt = str(gamma)
-    else:
-        raise UsageError("test needs either --constants or --family")
     run = step_down if args.direction == "sd" else step_up
     result = run(p, constants)
     rejected = set(result.rejected)
-    params = dict(direction=args.direction, family=args.family, n=p.size,
-                  gamma=gamma_txt, alpha=args.alpha, k=args.k,
-                  template=args.template, constants=args.constants,
-                  pvalues=args.pvalues)
-    lines = _manifest("test", params)
+    lines = _manifest(args, n=p.size)
     lines.append("index,p,critical,rejected")
     order = np.argsort(p, kind="stable")
     rank_of = np.empty(p.size, dtype=int)
@@ -200,13 +196,9 @@ def cmd_simulate(args) -> int:
     )
     reports = simlab.run_grid(base, procedures, rhos=rhos, pi0s=pi0s,
                               threads=args.threads)
-    # threads deliberately omitted: the results do not depend on it
-    params = dict(procedures=args.procedures, n=args.n, pi0=args.pi0,
-                  rho=args.rho, gamma=str(gamma), k=args.k, alpha=args.alpha,
-                  effect=args.effect, reps=args.reps, seed=args.seed,
-                  dependence=args.dependence)
-    lines = _manifest("simulate", params)
-    lines.append("procedure,rho,pi0,gamma,k,exceedance,exceedance_se,power,power_se")
+    manifest = _manifest(args)
+    lines = manifest + [
+        "procedure,rho,pi0,gamma,k,exceedance,exceedance_se,power,power_se"]
     for rep in reports:
         cfg = rep.config
         lines.append(
@@ -216,7 +208,7 @@ def cmd_simulate(args) -> int:
         )
     _emit(lines, args.output)
     if args.svg:
-        _write_svg(args, reports, rhos, tokens, lines[: len(params) + 2])
+        _write_svg(args, reports, rhos, tokens, manifest)
     return 0
 
 
@@ -266,10 +258,11 @@ def cmd_verify(args) -> int:
 # ---------------------------------------------------------------------------
 # wiring
 
-def _add_constant_flags(sub, family_required=True):
-    sub.add_argument("--family", required=family_required,
-                     choices=tuple(cmod.FAMILIES))
-    sub.add_argument("--gamma", required=family_required,
+def _add_constant_flags(sub, source=None):
+    """The family flags; ``source`` is the group --family joins, if any."""
+    (sub if source is None else source).add_argument(
+        "--family", required=source is None, choices=tuple(cmod.FAMILIES))
+    sub.add_argument("--gamma", required=source is None,
                      help="exceedance threshold, e.g. 1/10 or 0.1")
     sub.add_argument("--alpha", type=float, default=0.05)
     sub.add_argument("--k", type=int, default=1)
@@ -290,9 +283,10 @@ def _build_parser() -> _Parser:
     p_test = sub.add_parser("test", help="apply a procedure to a p-value file")
     p_test.add_argument("--pvalues", required=True)
     p_test.add_argument("--direction", required=True, choices=("su", "sd"))
-    p_test.add_argument("--constants", default=None,
+    source = p_test.add_mutually_exclusive_group(required=True)
+    source.add_argument("--constants", default=None,
                         help="explicit comma list of critical constants")
-    _add_constant_flags(p_test, family_required=False)
+    _add_constant_flags(p_test, source)
 
     p_sim = sub.add_parser("simulate", help="run a Monte Carlo grid")
     p_sim.add_argument("--procedures", required=True,

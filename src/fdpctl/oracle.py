@@ -598,7 +598,7 @@ def _pairdist_outcomes():
                   EquicorrelatedPairs(0.0), EquicorrelatedPairs(0.1),
                   EquicorrelatedPairs(0.5), EquicorrelatedPairs(0.9)):
         try:
-            validate_pairwise(model, grid=21, tol=1e-8)
+            validate_pairwise(model)
         except ValueError as exc:
             yield str(exc)
         else:
@@ -610,6 +610,10 @@ def run_suite(suites=("lemmas", "constants", "pairdist"), fuzz_count: int = 100_
     """Run the requested verification suites and collect a pass/fail table."""
     report = SuiteReport()
     if "lemmas" in suites:
+        if fuzz_count < 1:
+            raise ValueError(f"fuzz_count must be >= 1, got {fuzz_count}")
+        if seed < 0:
+            raise ValueError(f"seed must be >= 0, got {seed}")
         _lemma_suite(report, fuzz_count, seed)
     if "constants" in suites:
         report.run("lr_scale_identity", _scale_identity_outcomes())

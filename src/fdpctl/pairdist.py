@@ -47,6 +47,9 @@ _NODES_PER_BAND = 48
 # points per (nodes x points) block of the kernel: the block stays in
 # cache and each row is a long, contiguous ufunc loop
 _KERNEL_BLOCK = 4096
+# validate_pairwise's grid points per axis and its tolerance
+_VALIDATE_GRID = 21
+_VALIDATE_TOL = 1e-8
 
 
 @lru_cache(maxsize=256)
@@ -217,36 +220,23 @@ class EquicorrelatedPairs(PairwiseNull):
         return two_sided_equicorr_cdf(u, v, self.rho)
 
 
-def make_pairwise(spec) -> PairwiseNull:
-    """Build a pairwise model from 'independence', 'comonotone', or a rho.
+def make_pairwise(rho: float) -> PairwiseNull:
+    """The equicorrelated model at correlation rho.
 
     rho = 0 gives ``IndependentPairs``, the exact form of that model.
     """
-    if isinstance(spec, PairwiseNull):
-        return spec
-    if isinstance(spec, str):
-        s = spec.strip().lower()
-        if s in ("independence", "independent", "indep"):
-            return IndependentPairs()
-        if s in ("comonotone", "perfect"):
-            return ComonotonePairs()
-        try:
-            spec = float(s)
-        except ValueError:
-            raise ValueError(f"unknown pairwise model {spec!r}") from None
-    if isinstance(spec, (int, float)):
-        return EquicorrelatedPairs(spec) if spec != 0 else IndependentPairs()
-    raise TypeError(f"cannot interpret {spec!r} as a pairwise model")
+    return EquicorrelatedPairs(rho) if rho != 0 else IndependentPairs()
 
 
-def validate_pairwise(F: PairwiseNull, grid: int = 11, tol: float = 1e-6) -> None:
-    """Spot-check distribution-function behaviour on a coarse grid.
+def validate_pairwise(F: PairwiseNull) -> None:
+    """Spot-check distribution-function behaviour on a fixed grid.
 
     Raises ValueError on the first violated property: zero/one boundary
     values, symmetry, uniform margins, Frechet bounds, and nonnegative
     rectangle mass (2-increasingness).
     """
-    u = np.linspace(0.0, 1.0, grid)
+    tol = _VALIDATE_TOL
+    u = np.linspace(0.0, 1.0, _VALIDATE_GRID)
     g1, g2 = np.meshgrid(u, u, indexing="ij")
     vals = np.asarray(F.cdf(g1, g2), dtype=float)
     if abs(vals[-1, -1] - 1.0) > tol:

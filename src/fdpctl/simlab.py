@@ -208,6 +208,8 @@ class MonteCarloConfig:
     def __post_init__(self):
         if self.reps < 1:
             raise ValueError("reps must be >= 1")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if not math.isfinite(self.effect):
             raise ValueError(f"effect must be finite, got {self.effect}")
         if not self.n >= 1:

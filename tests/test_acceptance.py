@@ -189,7 +189,7 @@ def test_criterion_7_pairwise_kernel():
                <= 1e-9)
     try:
         for rho in (0.0, 0.1, 0.5, 0.9):
-            validate_pairwise(EquicorrelatedPairs(rho), grid=21, tol=1e-8)
+            validate_pairwise(EquicorrelatedPairs(rho))
     except ValueError:
         ok = False
     verdict("7 bivariate-normal kernel identities and copula validity", ok)

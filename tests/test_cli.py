@@ -1,3 +1,5 @@
+import argparse
+
 import numpy as np
 import pytest
 
@@ -15,6 +17,53 @@ def run(capsys, *argv):
 
 def data_rows(text):
     return [ln for ln in text.splitlines() if ln and not ln.startswith("#")]
+
+
+@pytest.fixture()
+def pfile(tmp_path):
+    path = tmp_path / "p.txt"
+    path.write_text("# demo p-values\n0.01\n0.06\n0.07\n")
+    return str(path)
+
+
+class TestManifest:
+    UNECHOED = ("output", "svg", "threads")
+
+    @staticmethod
+    def dests(subcommand):
+        """Every argument a subcommand's parser stores, help aside."""
+        parser = cli._build_parser()
+        (sub,) = [a for a in parser._actions
+                  if isinstance(a, argparse._SubParsersAction)]
+        return [a.dest for a in sub.choices[subcommand]._actions
+                if a.dest != "help"]
+
+    @pytest.mark.parametrize("argv", [
+        ["constants", "--family", "thm37", "--n", "6", "--gamma", "1/10",
+         "--rho", "0.3"],
+        ["test", "--direction", "su", "--constants", "0.02,0.05,0.075"],
+        ["test", "--direction", "sd", "--family", "thm34", "--k", "2",
+         "--gamma", "1/10", "--rho", "0.3"],
+        ["simulate", "--procedures", "lr-sd", "--n", "10", "--gamma", "1/10",
+         "--reps", "5"],
+    ], ids=["constants", "test-constants", "test-family", "simulate"])
+    def test_every_parsed_argument_is_echoed(self, capsys, pfile, argv):
+        if argv[0] == "test":
+            argv = argv + ["--pvalues", pfile]
+        code, out, _ = run(capsys, *argv)
+        keys = [ln[2:].split("=")[0] for ln in out.splitlines()
+                if ln.startswith("# ") and "=" in ln]
+        assert code == 0
+        for dest in self.dests(argv[0]):
+            assert (dest in keys) == (dest not in self.UNECHOED), dest
+
+    def test_values_are_echoed_as_typed(self, capsys, pfile):
+        code, out, _ = run(capsys, "test", "--pvalues", pfile, "--direction",
+                           "su", "--constants", "0.02,0.05,0.075")
+        assert code == 0 and "# gamma=" in out.splitlines()
+        code, out, _ = run(capsys, "constants", "--family", "lr", "--n", "4",
+                           "--gamma", "0.1")
+        assert code == 0 and "# gamma=0.1" in out.splitlines()
 
 
 class TestConstantsCommand:
@@ -129,12 +178,6 @@ class TestConstantsCommand:
 
 
 class TestTestCommand:
-    @pytest.fixture()
-    def pfile(self, tmp_path):
-        path = tmp_path / "p.txt"
-        path.write_text("# demo p-values\n0.01\n0.06\n0.07\n")
-        return str(path)
-
     def test_stepup_rejects_all(self, capsys, pfile):
         code, out, _ = run(capsys, "test", "--pvalues", pfile, "--direction",
                            "su", "--constants", "0.02,0.05,0.075")
@@ -192,6 +235,17 @@ class TestTestCommand:
                              "--rho", "0.3")
         assert code == 1 and out == ""
         assert f"family '{family}' in direction '{direction}'" in err
+
+    @pytest.mark.parametrize("source", [
+        ("--constants", "0.02,0.05,0.075", "--family", "thm35",
+         "--alpha", "0.5", "--gamma", "1/10"),
+        (),
+    ], ids=["both", "neither"])
+    def test_exactly_one_constant_source(self, capsys, pfile, source):
+        code, out, err = run(capsys, "test", "--pvalues", pfile,
+                             "--direction", "su", *source)
+        assert code == 1 and out == ""
+        assert "--constants" in err and "--family" in err
 
     def test_n_is_read_from_the_pvalue_file(self, capsys, pfile):
         code, _, err = run(capsys, "test", "--pvalues", pfile, "--direction",
@@ -305,6 +359,7 @@ class TestSimulateCommand:
          "block size must be a positive integer, got 'x'"),
         (["--dependence", "block:"],
          "block size must be a positive integer, got ''"),
+        (["--seed", "-1"], "seed must be >= 0, got -1"),
     ])
     def test_bad_cell_names_the_field(self, capsys, argv, message):
         argv = ["--n", "10", *argv]
@@ -344,6 +399,17 @@ class TestVerifyCommand:
     def test_unknown_suite_is_usage_error(self, capsys):
         code, _, err = run(capsys, "verify", "--suite", "everything")
         assert code == 1
+
+    @pytest.mark.parametrize("argv,message", [
+        (["--fuzz-count", "0"], "fuzz_count must be >= 1, got 0"),
+        (["--fuzz-count", "-3"], "fuzz_count must be >= 1, got -3"),
+        (["--seed", "-1"], "seed must be >= 0, got -1"),
+    ])
+    def test_lemma_run_that_checks_nothing_is_usage_error(
+            self, capsys, argv, message):
+        code, out, err = run(capsys, "verify", "--suite", "lemmas", *argv)
+        assert code == 1 and out == ""
+        assert err == f"usage error: {message}\n"
 
     def test_small_fuzz_run(self, capsys):
         code, out, _ = run(capsys, "verify", "--suite", "pairdist",

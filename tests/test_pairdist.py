@@ -166,7 +166,7 @@ class TestCopulaInvariants:
 
     def test_validate_accepts_models(self):
         for model in (IndependentPairs(), ComonotonePairs(), EquicorrelatedPairs(0.5)):
-            validate_pairwise(model, grid=21, tol=1e-8)
+            validate_pairwise(model)
 
     def test_validate_rejects_bad_model(self):
         class Bad(IndependentPairs):
@@ -216,16 +216,14 @@ class TestConditional:
 
 
 class TestFactory:
-    def test_named_models(self):
-        assert isinstance(make_pairwise("independence"), IndependentPairs)
-        assert isinstance(make_pairwise("comonotone"), ComonotonePairs)
+    def test_correlation(self):
         assert make_pairwise(0.4).rho == 0.4
-        assert make_pairwise("0.25").rho == 0.25
 
-    @pytest.mark.parametrize("rho", [0, 0.0, -0.0, "0", " 0.0 "], ids=repr)
+    @pytest.mark.parametrize("rho", [0, 0.0, -0.0], ids=repr)
     def test_zero_correlation_is_independence(self, rho):
         assert isinstance(make_pairwise(rho), IndependentPairs)
 
-    def test_unknown(self):
-        with pytest.raises(ValueError):
-            make_pairwise("copula-of-the-day")
+    def test_out_of_range(self):
+        for rho in (1.5, -1.5, math.nan):
+            with pytest.raises(ValueError, match=r"must lie in \[-1, 1\]"):
+                make_pairwise(rho)
