@@ -452,57 +452,83 @@ class TestPairBounds:
         assert np.allclose(rect, np.outer(d, d), rtol=1e-12, atol=1e-18)
 
 
-# (beta, direction) -> (value, worst_n0) of pair_{sd,su}_bound with the lr
-# template, gamma = 1/10 and k = 1, frozen from the full-grid evaluation
-# (one F.cdf per ordered pair, 48-node bvn panels, reversed-cumsum stepup)
+# (beta, direction, gamma, k) -> (value, worst_n0) of pair_{sd,su}_bound with
+# the lr template.  The gamma 1/10, k 1 cells are frozen from the full-grid
+# evaluation (one F.cdf per ordered pair, 48-node bvn panels, reversed-cumsum
+# stepup); the k 3 cells at gamma 1/4 and 1/2, which reach the M-boundary
+# terms of the stepdown bound, from the per-n0 rank-map evaluation
 PAIR_BOUNDS_FROZEN = {
     (60, "independence"): {
-        (0.01, "sd"): (0.01000184766214178, 51),
-        (0.01, "su"): (0.013297684596820711, 52),
-        (0.024, "sd"): (0.0246567963800905, 51),
-        (0.024, "su"): (0.03314401922073761, 43),
-        (0.05, "sd"): (0.053892345399698345, 51),
-        (0.05, "su"): (0.07399993181539596, 43),
+        (0.01, "sd", "1/10", 1): (0.01000184766214178, 51),
+        (0.01, "su", "1/10", 1): (0.013297684596820711, 52),
+        (0.024, "sd", "1/10", 1): (0.0246567963800905, 51),
+        (0.024, "su", "1/10", 1): (0.03314401922073761, 43),
+        (0.05, "sd", "1/10", 1): (0.053892345399698345, 51),
+        (0.05, "su", "1/10", 1): (0.07399993181539596, 43),
+        (0.01, "sd", "1/2", 3): (0.006810734463276837, 59),
+        (0.01, "su", "1/2", 3): (0.01236708456377863, 56),
+        (0.05, "sd", "1/2", 3): (0.03782488939734967, 54),
+        (0.05, "su", "1/2", 3): (0.07147189439072801, 55),
+        (0.01, "sd", "1/4", 3): (0.006783625730994152, 58),
+        (0.01, "su", "1/4", 3): (0.0116678100824576, 52),
+        (0.05, "sd", "1/4", 3): (0.03575784157363105, 55),
+        (0.05, "su", "1/4", 3): (0.0646062681100245, 49),
     },
     (60, 0.3): {
-        (0.01, "sd"): (0.012744170028481812, 51),
-        (0.01, "su"): (0.015396402662961592, 43),
-        (0.024, "sd"): (0.03508200763759192, 51),
-        (0.024, "su"): (0.04084673174438862, 43),
-        (0.05, "sd"): (0.08293765097088998, 42),
-        (0.05, "su"): (0.09433405381783791, 43),
+        (0.01, "sd", "1/10", 1): (0.012744170028481812, 51),
+        (0.01, "su", "1/10", 1): (0.015396402662961592, 43),
+        (0.024, "sd", "1/10", 1): (0.03508200763759192, 51),
+        (0.024, "su", "1/10", 1): (0.04084673174438862, 43),
+        (0.05, "sd", "1/10", 1): (0.08293765097088998, 42),
+        (0.05, "su", "1/10", 1): (0.09433405381783791, 43),
+        (0.01, "sd", "1/2", 3): (0.009211188361202254, 54),
+        (0.01, "su", "1/2", 3): (0.01436481385675972, 55),
+        (0.05, "sd", "1/2", 3): (0.06985749903556356, 52),
+        (0.05, "su", "1/2", 3): (0.09189368593394942, 54),
+        (0.01, "sd", "1/4", 3): (0.008313514506916163, 55),
+        (0.01, "su", "1/4", 3): (0.012945388228395126, 49),
+        (0.05, "sd", "1/4", 3): (0.05947352054177969, 48),
+        (0.05, "su", "1/4", 3): (0.07885196060729811, 46),
     },
     (60, 0.9): {
-        (0.01, "sd"): (0.018157687046195935, 33),
-        (0.01, "su"): (0.026555141978698286, 34),
-        (0.024, "sd"): (0.04357844891087025, 33),
-        (0.024, "su"): (0.06479368782713349, 34),
-        (0.05, "sd"): (0.0907884352309797, 33),
-        (0.05, "su"): (0.13702011802815725, 34),
+        (0.01, "sd", "1/10", 1): (0.018157687046195935, 33),
+        (0.01, "su", "1/10", 1): (0.026555141978698286, 34),
+        (0.024, "sd", "1/10", 1): (0.04357844891087025, 33),
+        (0.024, "su", "1/10", 1): (0.06479368782713349, 34),
+        (0.05, "sd", "1/10", 1): (0.0907884352309797, 33),
+        (0.05, "su", "1/10", 1): (0.13702011802815725, 34),
     },
     (200, "independence"): {
-        (0.01, "sd"): (0.010146348712914486, 191),
-        (0.01, "su"): (0.014118042120265906, 174),
-        (0.024, "sd"): (0.025017968586387437, 191),
-        (0.024, "su"): (0.035506520438080946, 174),
-        (0.05, "sd"): (0.05470038448952879, 191),
-        (0.05, "su"): (0.08102511247747363, 165),
+        (0.01, "sd", "1/10", 1): (0.010146348712914486, 191),
+        (0.01, "su", "1/10", 1): (0.014118042120265906, 174),
+        (0.024, "sd", "1/10", 1): (0.025017968586387437, 191),
+        (0.024, "su", "1/10", 1): (0.035506520438080946, 174),
+        (0.05, "sd", "1/10", 1): (0.05470038448952879, 191),
+        (0.05, "su", "1/10", 1): (0.08102511247747363, 165),
+        (0.01, "sd", "1/2", 3): (0.00681645357178279, 195),
+        (0.05, "sd", "1/2", 3): (0.042274678736354626, 182),
+        (0.01, "sd", "1/4", 3): (0.006747200312377977, 195),
+        (0.05, "sd", "1/4", 3): (0.03841234304958224, 182),
     },
     (200, 0.3): {
-        (0.01, "sd"): (0.016272682186502414, 173),
-        (0.01, "su"): (0.01884042788568783, 156),
-        (0.024, "sd"): (0.049264916921931336, 164),
-        (0.024, "su"): (0.051360869397628156, 156),
-        (0.05, "sd"): (0.11592911844132926, 146),
-        (0.05, "su"): (0.12024159510208228, 147),
+        (0.01, "sd", "1/10", 1): (0.016272682186502414, 173),
+        (0.01, "su", "1/10", 1): (0.01884042788568783, 156),
+        (0.024, "sd", "1/10", 1): (0.049264916921931336, 164),
+        (0.024, "su", "1/10", 1): (0.051360869397628156, 156),
+        (0.05, "sd", "1/10", 1): (0.11592911844132926, 146),
+        (0.05, "su", "1/10", 1): (0.12024159510208228, 147),
+        (0.01, "sd", "1/2", 3): (0.013146563312763117, 185),
+        (0.05, "sd", "1/2", 3): (0.11517429406806685, 181),
+        (0.01, "sd", "1/4", 3): (0.011732981139375091, 176),
+        (0.05, "sd", "1/4", 3): (0.10034077349326137, 170),
     },
     (200, 0.9): {
-        (0.01, "sd"): (0.02394110389481093, 119),
-        (0.01, "su"): (0.03336903147749044, 129),
-        (0.024, "sd"): (0.057458649347546235, 119),
-        (0.024, "su"): (0.08121417214710897, 129),
-        (0.05, "sd"): (0.11970551947405464, 119),
-        (0.05, "su"): (0.17133598782653495, 129),
+        (0.01, "sd", "1/10", 1): (0.02394110389481093, 119),
+        (0.01, "su", "1/10", 1): (0.03336903147749044, 129),
+        (0.024, "sd", "1/10", 1): (0.057458649347546235, 119),
+        (0.024, "su", "1/10", 1): (0.08121417214710897, 129),
+        (0.05, "sd", "1/10", 1): (0.11970551947405464, 119),
+        (0.05, "su", "1/10", 1): (0.17133598782653495, 129),
     },
 }
 
@@ -514,9 +540,11 @@ class TestPairBoundsFrozen:
     def test_value_and_worst_n0(self, n, model):
         F = IndependentPairs() if model == "independence" \
             else EquicorrelatedPairs(model)
-        tmpl = cmod.make_template("lr", n, gamma=G10)
-        for (beta, d), (value, worst_n0) in PAIR_BOUNDS_FROZEN[n, model].items():
-            got = getattr(cmod, f"pair_{d}_bound")(tmpl, G10, 1, F, beta)
+        for (beta, d, g, k), (value, worst_n0) in \
+                PAIR_BOUNDS_FROZEN[n, model].items():
+            gamma = Gamma.parse(g)
+            tmpl = cmod.make_template("lr", n, gamma=gamma)
+            got = getattr(cmod, f"pair_{d}_bound")(tmpl, gamma, k, F, beta)
             assert got.value == pytest.approx(value, rel=1e-13, abs=0)
             assert got.worst_n0 == worst_n0
 
