@@ -141,7 +141,16 @@ def _read_pvalues(path: str) -> np.ndarray:
     return arr
 
 
+# the flags --constants does not read, and their defaults
+_FAMILY_ONLY = {"gamma": None, "alpha": 0.05, "template": "lr", "rho": None}
+
+
 def cmd_test(args) -> int:
+    given = [f"--{key}" for key in _FAMILY_ONLY if getattr(args, key) is not None]
+    if args.constants is not None and given:
+        raise UsageError(f"--constants does not read {', '.join(given)}")
+    vars(args).update({key: default for key, default in _FAMILY_ONLY.items()
+                       if getattr(args, key) is None})
     p = _read_pvalues(args.pvalues)
     if args.constants is not None:
         vals = np.asarray(_parse_floats(args.constants))
@@ -264,12 +273,14 @@ def _add_constant_flags(sub, source=None):
         "--family", required=source is None, choices=tuple(cmod.FAMILIES))
     sub.add_argument("--gamma", required=source is None,
                      help="exceedance threshold, e.g. 1/10 or 0.1")
-    sub.add_argument("--alpha", type=float, default=0.05)
+    sub.add_argument("--alpha", type=float)
     sub.add_argument("--k", type=int, default=1)
-    sub.add_argument("--template", choices=("lr", "bh", "gbs"), default="lr")
+    sub.add_argument("--template", choices=("lr", "bh", "gbs"))
     sub.add_argument("--rho", type=float, default=None,
                      help="equicorrelation of the pairwise null model")
     sub.add_argument("-o", "--output", default=None, help="CSV output path")
+    if source is None:  # test sets them once it has seen which were given
+        sub.set_defaults(**_FAMILY_ONLY)
 
 
 def _build_parser() -> _Parser:

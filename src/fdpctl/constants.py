@@ -19,9 +19,9 @@ driven by integer maps evaluated in exact arithmetic:
 * m*(i)   = max{1 <= j <= n : floor(gamma j) + 1 <= i}, m*(0) = 0
 * mt(i)   = min(m*(i), i + n1) for i = 0..n0
 
-``_rank_maps`` is the one source of mbar (stepdown) and mt (stepup) for
-every n0 in [k, n]; the marginal families and both pair bounds read them
-there.
+``_rank_maps`` is the one source of mbar (stepdown), mt (stepup) and M: row
+n0 - k of its int matrix holds the ranks at i = 0..n and repeats its last
+rank past M (mbar) or n0 (mt), so M is the count of increases along a row.
 
 m(i) exists for every i in [1, M] exactly when gamma <= 1/2 (the scan
 f(j) = floor(gamma j/(1-gamma)) + 1 then advances in unit steps); larger
@@ -192,25 +192,28 @@ def _su_rank_raw(n: int, gamma: Gamma) -> np.ndarray:
     return out
 
 
-def _sd_rank(n0: int, n1: int, k: int, f_all: np.ndarray) -> np.ndarray:
-    """mbar(0..M) for one n0; raises if a level in [1, M] is skipped."""
-    f = f_all[: n1 + 1]
-    m_cap = min(n0, int(f[-1]))
-    levels = np.arange(1, m_cap + 1)
-    slack = f.searchsorted(levels, side="right") - 1
-    if (slack < 0).any() or (f[slack] != levels).any():
+def _rank_maps(direction: str, n: int, gamma: Gamma, k: int) -> np.ndarray:
+    """mbar ('sd') or mt ('su'): row n0 - k holds the ranks at i = 0..n.
+
+    Past M (mbar) or n0 (mt) a row repeats its last rank.  Raises if a
+    stepdown level in [1, M] is skipped, as it is for gamma > 1/2.
+    """
+    _check_k(n, k)
+    n0 = np.arange(k, n + 1)[:, None]
+    n1 = n - n0
+    i = np.arange(n + 1)
+    if direction == "su":
+        level = np.minimum(i, n0)
+        return np.minimum(_su_rank_raw(n, gamma)[level], level + n1)
+    f = _floor_odds_plus1(n, gamma)
+    level = np.minimum(i[1:], np.minimum(n0, f[n1]))  # 1..M, then M again
+    slack = np.minimum(f.searchsorted(level, side="right") - 1, n1)  # m(i)
+    if (f[slack] != level).any():
         raise ValueError(
             "stepdown index map skips exceedance levels; this family "
             "requires gamma <= 1/2"
         )
-    mbar = np.zeros(m_cap + 1, dtype=np.int64)
-    mbar[1:] = np.maximum(levels, k) + slack
-    return mbar
-
-
-def _su_rank(n0: int, n1: int, raw: np.ndarray) -> np.ndarray:
-    """mt(0..n0) for one n0, from raw = _su_rank_raw(n, gamma)."""
-    return np.minimum(raw[: n0 + 1], np.arange(n0 + 1) + n1)
+    return np.hstack([np.zeros_like(n0), np.maximum(level, k) + slack])
 
 
 # ---------------------------------------------------------------------------
@@ -239,36 +242,23 @@ def _check_k(n: int, k: int) -> None:
         raise ValueError(f"need 1 <= k <= n, got n={n}, k={k}")
 
 
-def _worst_over_n0(value_at, n: int, k: int):
-    """(max of value_at(n0) over every n0 in [k, n], first argmax).
+def _worst_over_n0(values, k: int):
+    """(max of values, first argmax + k): values[j] is the bound at n0 = k + j.
 
     A NaN value raises: skipping it would report the max over the other n0.
     """
-    _check_k(n, k)
-    best, best_n0 = -np.inf, -1
-    for n0 in range(k, n + 1):
-        val = value_at(n0)
-        if val != val:
-            raise ValueError(f"worst case over n0 is undefined: the bound "
-                             f"is NaN at n0={n0}")
-        if val > best:
-            best, best_n0 = val, n0
-    return best, best_n0
-
-
-def _rank_maps(direction: str, n: int, gamma: Gamma, k: int) -> list:
-    """mbar (direction 'sd') or mt ('su') for n0 = k..n, entry n0 - k."""
-    _check_k(n, k)
-    if direction == "sd":
-        f_all = _floor_odds_plus1(n, gamma)
-        return [_sd_rank(n0, n - n0, k, f_all) for n0 in range(k, n + 1)]
-    raw = _su_rank_raw(n, gamma)
-    return [_su_rank(n0, n - n0, raw) for n0 in range(k, n + 1)]
+    values = np.asarray(values, dtype=float)
+    if np.isnan(values).any():
+        raise ValueError("worst case over n0 is undefined: the bound is NaN "
+                         f"at n0={k + int(np.isnan(values).argmax())}")
+    worst = int(values.argmax())
+    return float(values[worst]), k + worst
 
 
 # ---------------------------------------------------------------------------
-# marginal-only families: C = max over n0 of value(av, k, n0), where av is
-# the template read through the rank map mbar (stepdown) or mt (stepup)
+# marginal-only families: C = max over n0 of value(av, k, n0), av = tpl[row]
+# of mbar (stepdown) or mt (stepup).  Padded posdep terms never exceed the
+# real ones and padded telescope increments are +0.0: rows read as unpadded.
 
 def _posdep_sd_value(av: np.ndarray, k: int, n0: int) -> float:
     return float((n0 * av[1:] / np.maximum(np.arange(1, av.size), k)).max())
@@ -278,10 +268,11 @@ def _posdep_su_value(av: np.ndarray, k: int, n0: int) -> float:
     return float((n0 * av[k:] / np.arange(k, av.size)).max())
 
 
-def _sd_marginal_prefix(av: np.ndarray, k: int, n0: int) -> np.ndarray:
-    """Prefix sums A[K] = sum_{i<=K} n0 (av[i]-av[i-1]) / (i v k), K = 0..M."""
-    iok = np.maximum(np.arange(1, av.size), k)
-    return np.concatenate([[0.0], np.cumsum(n0 * np.diff(av) / iok)])
+def _sd_marginal_prefix(av: np.ndarray, k: int, n0) -> np.ndarray:
+    """A[..., K] = sum_{i<=K} n0 (av[i]-av[i-1]) / (i v k), on the last axis."""
+    iok = np.maximum(np.arange(1, av.shape[-1]), k)
+    steps = np.cumsum(n0 * np.diff(av) / iok, axis=-1)
+    return np.concatenate([np.zeros(av.shape[:-1] + (1,)), steps], axis=-1)
 
 
 def _arbdep_sd_value(av: np.ndarray, k: int, n0: int) -> float:
@@ -289,7 +280,11 @@ def _arbdep_sd_value(av: np.ndarray, k: int, n0: int) -> float:
 
 
 def _arbdep_su_value(av: np.ndarray, k: int, n0: int) -> float:
-    """n0 * (av[k]/k + sum_{i=k+1}^{n0} (av[i]-av[i-1]) / i)."""
+    """n0 * (av[k]/k + sum_{i=k+1}^{n0} (av[i]-av[i-1]) / i).
+
+    Only the row's own terms: numpy's pairwise ``sum`` groups them by length.
+    """
+    av = av[:n0 + 1]
     i = np.arange(k + 1, n0 + 1)
     return float(n0 * (av[k] / k + np.sum((av[k + 1:] - av[k:-1]) / i)))
 
@@ -297,9 +292,9 @@ def _arbdep_su_value(av: np.ndarray, k: int, n0: int) -> float:
 def _marginal_scale(direction: str, value, tpl: np.ndarray, gamma: Gamma,
                     k: int):
     """(C, worst n0) with C = max over n0 of value(tpl[rank map], k, n0)."""
-    n = _check_template_vector(tpl)
-    maps = _rank_maps(direction, n, gamma, k)
-    return _worst_over_n0(lambda n0: value(tpl[maps[n0 - k]], k, n0), n, k)
+    tpl = np.asarray(tpl, dtype=float)
+    avs = tpl[_rank_maps(direction, _check_template_vector(tpl), gamma, k)]
+    return _worst_over_n0([value(av, k, n0) for n0, av in enumerate(avs, k)], k)
 
 
 def _marginal_report(direction: str, value, tpl, gamma: Gamma, k: int,
@@ -352,13 +347,11 @@ def sd_marginal_bound(tpl, gamma: Gamma) -> float:
     the quantity the pairwise stepdown bound can only improve on: the
     arbdep stepdown scale at k = 1.
     """
-    tpl = np.asarray(tpl, dtype=float)
     return _marginal_scale("sd", _arbdep_sd_value, tpl, gamma, 1)[0]
 
 
 def su_marginal_bound(tpl, gamma: Gamma) -> float:
     """Stepup analog of ``sd_marginal_bound``: the arbdep stepup scale at k = 1."""
-    tpl = np.asarray(tpl, dtype=float)
     return _marginal_scale("su", _arbdep_su_value, tpl, gamma, 1)[0]
 
 
@@ -385,6 +378,7 @@ def pairwise_lr_report(n: int, gamma: Gamma, k: int, alpha: float,
     """
     if k < 2:
         raise ValueError("the pairwise generalization needs k >= 2")
+    _check_k(n, k)
 
     def value_at(n0):
         b = np.arange(n0 + 1) * (alpha / n0)
@@ -394,7 +388,7 @@ def pairwise_lr_report(n: int, gamma: Gamma, k: int, alpha: float,
             inner += float(np.sum(np.diff(cond) / np.arange(k, n0)))
         return float((n0 - 1) * inner)
 
-    best, best_n0 = _worst_over_n0(value_at, n, k)
+    best, best_n0 = _worst_over_n0([value_at(n0) for n0 in range(k, n + 1)], k)
     if not best > 0.0:
         raise ValueError(
             f"degenerate pairwise model: worst-case C = {best:.6g} <= 0, so F "
@@ -444,42 +438,35 @@ def pair_sd_bound(template: Template, gamma: Gamma, k: int, F: PairwiseNull,
     For each n0 the bound splits the level sum at K: levels i <= K use the
     marginal telescope, levels i >= K+2 use the pairwise diagonal telescope,
     and two boundary terms (one additive, one subtractive) join the parts
-    when M >= K+1.  The reported value is max over n0 of min over K.
+    when M >= K+1.  The reported value is max over n0 of min over K, taken
+    over the (n0, level) matrix of every n0 at once.
     """
     n = template.n
     tpl = template.values(beta)
-    mbars = _rank_maps("sd", n, gamma, k)
-    # F is read only at (mbar_i, mbar_i), i = 0..M, and (mbar_i, mbar_{i+1}),
-    # i = 1..M-1, of every n0
-    rows = np.concatenate(mbars + [m[1:-1] for m in mbars])
-    cols = np.concatenate(mbars + [m[2:] for m in mbars])
-    grid = _pair_matrix(F, tpl, rows, cols)
-
-    def value_at(n0):
-        mbar = mbars[n0 - k]
-        m_cap = mbar.size - 1
-        fdiag = grid[mbar, mbar]                         # F(av_i, av_i), 0..M
-        fnext = grid[mbar[1:-1], mbar[2:]]               # F(av_K, av_K+1)
-        av = tpl[mbar]
-        prefix = _sd_marginal_prefix(av, k, n0)          # A[0..M]
-        iok = np.maximum(np.arange(1, m_cap + 1), k)
-        denom = np.where(iok >= 2, iok * (iok - 1), 1)
-        pd = np.where(iok >= 2,
-                      n0 * (n0 - 1) * np.diff(fdiag) / denom, 0.0)
-        suffix = np.concatenate([np.cumsum(pd[::-1])[::-1], [0.0, 0.0]])
-        # expr(K) = A[K] + sum_{i >= K+2} pd_i + boundary terms if M >= K+1
-        kk = np.arange(1, m_cap + 1)
-        expr = prefix[1:] + suffix[np.minimum(kk + 1, m_cap + 1)]
-        if m_cap >= 2:
-            kb = kk[:-1]                                  # K = 1..M-1
-            k1 = np.maximum(kb + 1, k)
-            expr[:-1] += (
-                n0 * (n0 - 1) * fdiag[kb + 1] / (k1 * (k1 - 1))
-                - n0 * fnext / k1
-            )
-        return float(expr.min())
-
-    return BoundValue(*_worst_over_n0(value_at, n, k))
+    mbar = _rank_maps("sd", n, gamma, k)
+    # F is read at (mbar_i, mbar_i) and (mbar_i, mbar_{i+1}); past M these
+    # repeat (mbar_M, mbar_M), so the distinct pairs are those of i <= M
+    grid = _pair_matrix(F, tpl, np.hstack([mbar, mbar[:, 1:-1]]),
+                        np.hstack([mbar, mbar[:, 2:]]))
+    n0 = np.arange(k, n + 1)[:, None]
+    levels = np.arange(1, n + 1)                      # i, and the split K
+    real = levels <= np.count_nonzero(np.diff(mbar), axis=1)[:, None]  # <= M
+    fdiag = grid[mbar, mbar]                          # F(av_i, av_i), 0..n
+    fnext = grid[mbar[:, 1:-1], mbar[:, 2:]]          # F(av_K, av_K+1)
+    prefix = _sd_marginal_prefix(tpl[mbar], k, n0)    # A[0..n]
+    iok = np.maximum(levels, k)
+    # past M the increments are exactly +0.0, also where F is NaN there
+    pd = np.where(real & (iok >= 2), n0 * (n0 - 1) * np.diff(fdiag)
+                  / np.maximum(iok * (iok - 1), 1), 0.0)
+    tail = np.zeros_like(pd)                          # sum_{i >= K+2} pd_i
+    tail[:, :-2] = np.cumsum(pd[:, :1:-1], axis=1)[:, ::-1]
+    # expr(K) = A[K] + sum_{i >= K+2} pd_i + boundary terms if M >= K+1
+    expr = prefix[:, 1:] + tail
+    k1 = np.maximum(levels[1:], k)                    # (K+1) v k, K = 1..n-1
+    expr[:, :-1] += np.where(real[:, 1:], n0 * (n0 - 1) * fdiag[:, 2:]
+                             / (k1 * (k1 - 1)) - n0 * fnext / k1, 0.0)
+    values = np.where(real, expr, np.inf).min(axis=1)
+    return BoundValue(*_worst_over_n0(values, k))
 
 
 def pair_su_bound(template: Template, gamma: Gamma, k: int, F: PairwiseNull,
@@ -500,7 +487,7 @@ def pair_su_bound(template: Template, gamma: Gamma, k: int, F: PairwiseNull,
     strict_upper = np.triu(np.ones((n + 1, n + 1)), 1)
 
     def value_at(n0):
-        mt = mts[n0 - k]
+        mt = mts[n0 - k, :n0 + 1]
         av = tpl[mt]
         d = np.diff(av)
         r = r_all[:n0]
@@ -525,7 +512,8 @@ def pair_su_bound(template: Template, gamma: Gamma, k: int, F: PairwiseNull,
         expr = n0 * av[k - 1] / k + (pref[kk] - pref[k - 1]) + tail[kk]
         return float(expr.min())
 
-    return BoundValue(*_worst_over_n0(value_at, n, k))
+    values = [value_at(n0) for n0 in range(k, n + 1)]
+    return BoundValue(*_worst_over_n0(values, k))
 
 
 _VALUE_TOL = 5e-10

@@ -247,6 +247,26 @@ class TestTestCommand:
         assert code == 1 and out == ""
         assert "--constants" in err and "--family" in err
 
+    @pytest.mark.parametrize("flags", [
+        ("--gamma", "nonsense", "--alpha", "0.9", "--rho", "5",
+         "--template", "bh"),
+        ("--alpha", "0.05",),
+        ("--template", "lr",),
+    ], ids=["four", "alpha-at-default", "template-at-default"])
+    def test_constants_rejects_family_flags(self, capsys, pfile, flags):
+        # --constants reads none of these, so a given one is an error even
+        # at its default value; without them the manifest is unchanged
+        code, out, err = run(capsys, "test", "--pvalues", pfile, "--direction",
+                             "su", "--constants", "0.02,0.05,0.075", *flags)
+        assert code == 1 and out == ""
+        for flag in flags[::2]:
+            assert flag in err
+        code, out, _ = run(capsys, "test", "--pvalues", pfile, "--direction",
+                           "su", "--constants", "0.02,0.05,0.075")
+        assert code == 0
+        for line in ("# gamma=", "# alpha=0.05", "# template=lr", "# rho="):
+            assert line in out.splitlines()
+
     def test_n_is_read_from_the_pvalue_file(self, capsys, pfile):
         code, _, err = run(capsys, "test", "--pvalues", pfile, "--direction",
                            "su", "--constants", "0.02,0.05,0.075", "--n", "5")

@@ -64,48 +64,64 @@ class TestTemplates:
             cmod.make_template("bh", 5).values(1.0)
 
 
+def levels(mbar):
+    """M of one mbar row: the count of increases, as the row is flat past M."""
+    return int(np.count_nonzero(np.diff(mbar)))
+
+
 def maps_at(n, n0, gamma, k):
-    """mbar, m, m* and mt for one n0, indexed from 0, read from _rank_maps."""
+    """Whole mbar and mt rows for one n0 from _rank_maps, m(0..M) and m*."""
     mbar = cmod._rank_maps("sd", n, gamma, k)[n0 - k]
     mt = cmod._rank_maps("su", n, gamma, k)[n0 - k]
-    i = np.arange(mbar.size)
-    slack = np.where(i > 0, mbar - np.maximum(i, k), 0)
+    i = np.arange(levels(mbar) + 1)
+    slack = np.where(i > 0, mbar[i] - np.maximum(i, k), 0)
     return mbar, slack, cmod._su_rank_raw(n, gamma)[: n0 + 1], mt
 
 
 class TestIndexMaps:
     def test_hand_example(self):
         mbar, slack, raw, mt = maps_at(10, 7, G10, 1)
-        assert mbar.size - 1 == 1     # M = 1 level
+        assert levels(mbar) == 1      # M = 1 level
         assert slack[1] == 3          # all j <= 3 satisfy floor(j/9)+1 = 1
         assert raw[1] == 9            # floor(0.1 j) = 0 up to j = 9
         assert mt[1] == 4             # min(9, 1 + 3)
+        assert mbar.size == mt.size == 11
 
     def test_gamma_zero(self):
         mbar, slack, raw, _ = maps_at(12, 5, Gamma(0, 1), 1)
-        assert mbar.size - 1 == 1
+        assert levels(mbar) == 1
         assert slack[1] == 7          # m(1) = n1
         assert np.all(raw[1:] == 12)
 
     def test_matches_naive_maps(self):
-        for n, n0, g, k in [(8, 3, G10, 1), (12, 7, G4, 2), (9, 9, G10, 3),
-                            (10, 4, Gamma(1, 2), 1)]:
-            mbar, slack, _, mt = maps_at(n, n0, g, k)
-            n1 = n - n0
-            assert mbar.size - 1 == oracle.naive_levels(n0, n1, g)
-            for i in range(1, mbar.size):
-                m = oracle.naive_sd_slack(i, n1, g)
-                assert slack[i] == m
-                assert mbar[i] == max(i, k) + m
-            for i in range(1, n0 + 1):
-                assert mt[i] == oracle.naive_su_rank(i, n, n1, g)
+        # every row: M, mbar on 1..M and mt on 0..n0 match the literal maps,
+        # and the row repeats its last rank after that
+        for n in range(1, 31):
+            for g in (Gamma(0, 1), G10, G4, Gamma(1, 3), Gamma(1, 2)):
+                for k in sorted({1, 2, 3, n} & set(range(1, n + 1))):
+                    mbars = cmod._rank_maps("sd", n, g, k)
+                    mts = cmod._rank_maps("su", n, g, k)
+                    assert mbars.shape == mts.shape == (n - k + 1, n + 1)
+                    for n0, mbar, mt in zip(range(k, n + 1), mbars, mts):
+                        n1 = n - n0
+                        m_cap = levels(mbar)
+                        assert m_cap == oracle.naive_levels(n0, n1, g)
+                        assert mbar[0] == 0
+                        for i in range(1, m_cap + 1):
+                            m = oracle.naive_sd_slack(i, n1, g)
+                            assert mbar[i] == max(i, k) + m
+                        assert np.all(mbar[m_cap:] == mbar[m_cap])
+                        for i in range(n0 + 1):
+                            assert mt[i] == oracle.naive_su_rank(i, n, n1, g)
+                        assert np.all(mt[n0:] == mt[n0])
 
     def test_structural_invariants(self):
         for n, n0, k in [(15, 6, 1), (15, 15, 2), (20, 11, 5)]:
             mbar, slack, _, mt = maps_at(n, n0, G4, k)
             n1 = n - n0
-            assert 1 <= mbar.size - 1 <= n0
+            assert 1 <= levels(mbar) <= n0
             assert slack[0] == 0 and mbar[0] == 0
+            assert np.all(np.diff(mbar) >= 0)
             assert np.all(np.diff(slack) >= 0)
             assert np.all(slack <= n1)
             assert np.all(mt <= n)
@@ -235,15 +251,15 @@ class TestMarginalFamilies:
                     call()
 
     def test_worst_n0_is_first_argmax(self):
-        values = {1: 1.0, 2: 3.0, 3: 3.0, 4: 2.0}
-        assert cmod._worst_over_n0(values.__getitem__, 4, 1) == (3.0, 2)
+        # values[j] is the bound at n0 = k + j
+        assert cmod._worst_over_n0([1.0, 3.0, 3.0, 2.0], 1) == (3.0, 2)
+        assert cmod._worst_over_n0([1.0, 3.0, 3.0, 2.0], 3) == (3.0, 4)
 
     def test_worst_case_rejects_nan(self):
-        values = {1: 1.0, 2: 3.0, 3: math.nan, 4: math.nan}
         with pytest.raises(ValueError, match="NaN at n0=3"):
-            cmod._worst_over_n0(values.__getitem__, 4, 1)
+            cmod._worst_over_n0([1.0, 3.0, math.nan, math.nan], 1)
         with pytest.raises(ValueError, match="NaN at n0=1"):
-            cmod._worst_over_n0(lambda n0: math.nan, 4, 1)
+            cmod._worst_over_n0([math.nan] * 4, 1)
 
 
 @st.composite
