@@ -128,6 +128,19 @@ class TestIndexMaps:
             assert mt[0] == 0
             assert np.all(np.diff(mt) >= 0)
 
+    def test_su_rows_strictly_increase(self):
+        # pair_su_bound's rectangle product reads s > i as mt_s > mt_i
+        for n in range(1, 41):
+            for g in (Gamma(0, 1), G10, G4, Gamma(1, 3), Gamma(1, 2),
+                      Gamma(2, 3), Gamma(9, 10)):
+                for k in sorted({1, 2, 3, n} & set(range(1, n + 1))):
+                    mts = cmod._rank_maps("su", n, g, k)
+                    for n0, mt in enumerate(mts, k):
+                        assert mt[0] == 0
+                        assert np.all(np.diff(mt[:n0 + 1]) > 0)
+                        # mt_n0 = min(m*(n0), n) reaches n once n0 > floor(g n)
+                        assert (mt[n0] == n) == (n0 > g.floor_mul(n))
+
     def test_skipped_levels_rejected(self):
         # gamma = 3/4 jumps the stepdown level map past integers
         with pytest.raises(ValueError, match="gamma <= 1/2"):
@@ -408,6 +421,19 @@ class TestPairwiseLr:
                 cmod.pairwise_lr_report(10, G10, 2, 0.05, Countermonotone())
 
 
+class NanAtRanks(PairwiseNull):
+    """Independence, except NaN at the rank pair (a, b) of template vector tpl."""
+
+    def __init__(self, tpl, a, b):
+        self.pair = (tpl[a], tpl[b])
+
+    def cdf(self, u, v):
+        u, v = np.asarray(u, dtype=float), np.asarray(v, dtype=float)
+        a, b = self.pair
+        hit = ((u == a) & (v == b)) | ((u == b) & (v == a))
+        return np.where(hit, np.nan, u * v)
+
+
 class TestPairBounds:
     def test_matches_naive_on_small_instances(self):
         for n in (4, 6):
@@ -451,11 +477,27 @@ class TestPairBounds:
 
         tmpl = cmod.make_template("lr", 20, gamma=G10)
         F = NanAbove()
-        for bound in (cmod.pair_sd_bound, cmod.pair_su_bound):
-            with pytest.raises(ValueError, match=r"NaN at n0=\d+"):
-                bound(tmpl, G10, 1, F, 0.05)
+        with pytest.raises(ValueError, match=r"NaN at n0=\d+"):
+            cmod.pair_sd_bound(tmpl, G10, 1, F, 0.05)
+        with pytest.raises(ValueError, match="NaN at n0=2$"):
+            cmod.pair_su_bound(tmpl, G10, 1, F, 0.05)
         with pytest.raises(ValueError, match=r"NaN at n0=\d+"):
             cmod.calibrate_pair_scale("su", tmpl, G10, 1, 0.05, F)
+        # one NaN pair reaches only the rows that read it (first at n0 = 12),
+        # not every row that holds rank 9 or 10
+        F = NanAtRanks(tmpl.values(0.05), 9, 10)
+        with pytest.raises(ValueError, match="NaN at n0=12$"):
+            cmod.pair_su_bound(tmpl, G10, 1, F, 0.05)
+
+    @pytest.mark.parametrize("d, ranks", [("sd", (9, 11)), ("su", (1, 2))])
+    def test_naive_twins_return_nan(self, d, ranks):
+        # Python's min and max skip a NaN total: the su twin returned 0.0747
+        tmpl = cmod.make_template("lr", 20, gamma=G10)
+        F = NanAtRanks(tmpl.values(0.05), *ranks)
+        assert math.isnan(getattr(oracle, f"naive_pair_{d}_bound")(
+            tmpl, G10, 1, F, 0.05))
+        with pytest.raises(ValueError, match=r"NaN at n0=\d+"):
+            getattr(cmod, f"pair_{d}_bound")(tmpl, G10, 1, F, 0.05)
 
     def test_product_rectangle_mass(self):
         # under independence the rectangle mass factorizes into increments
@@ -525,6 +567,10 @@ PAIR_BOUNDS_FROZEN = {
         (0.05, "sd", "1/2", 3): (0.042274678736354626, 182),
         (0.01, "sd", "1/4", 3): (0.006747200312377977, 195),
         (0.05, "sd", "1/4", 3): (0.03841234304958224, 182),
+        (0.01, "su", "1/2", 3): (0.012940474222448787, 191),
+        (0.05, "su", "1/2", 3): (0.08215947954391752, 185),
+        (0.01, "su", "1/4", 3): (0.012008990437225829, 180),
+        (0.05, "su", "1/4", 3): (0.07187102698318687, 171),
     },
     (200, 0.3): {
         (0.01, "sd", "1/10", 1): (0.016272682186502414, 173),
@@ -537,6 +583,10 @@ PAIR_BOUNDS_FROZEN = {
         (0.05, "sd", "1/2", 3): (0.11517429406806685, 181),
         (0.01, "sd", "1/4", 3): (0.011732981139375091, 176),
         (0.05, "sd", "1/4", 3): (0.10034077349326137, 170),
+        (0.01, "su", "1/2", 3): (0.018135802498859748, 186),
+        (0.05, "su", "1/2", 3): (0.1331186987858453, 182),
+        (0.01, "su", "1/4", 3): (0.015751336644311546, 171),
+        (0.05, "su", "1/4", 3): (0.11249292048162811, 162),
     },
     (200, 0.9): {
         (0.01, "sd", "1/10", 1): (0.02394110389481093, 119),
