@@ -413,19 +413,17 @@ _PAIR_CHUNK = 65536
 
 
 def _pair_matrix(F: PairwiseNull, tpl: np.ndarray, rows, cols) -> np.ndarray:
-    """F(tpl[i], tpl[j]) at the rank pairs (rows, cols), rows <= cols.
+    """F(tpl[i], tpl[j]) at distinct (rows, cols) in key order rows*(n+1)+cols.
 
-    F is symmetric (a ``PairwiseNull`` precondition), so F.cdf runs once per
-    distinct pair, in key order and chunks of _PAIR_CHUNK, and the result is
+    rows <= cols and F is symmetric (a ``PairwiseNull`` precondition), so
+    F.cdf runs once per pair, in chunks of _PAIR_CHUNK, and the result is
     mirrored into the (n+1)^2 matrix; pairs not asked for read NaN.
     """
-    size = tpl.size
-    rows, cols = np.divmod(np.unique(rows * size + cols), size)
     vals = np.empty(rows.size)
     for lo in range(0, rows.size, _PAIR_CHUNK):
         hi = lo + _PAIR_CHUNK
         vals[lo:hi] = np.asarray(F.cdf(tpl[rows[lo:hi]], tpl[cols[lo:hi]]))
-    out = np.full((size, size), np.nan)
+    out = np.full((tpl.size, tpl.size), np.nan)
     out[rows, cols] = vals
     out[cols, rows] = vals
     return out
@@ -446,8 +444,9 @@ def pair_sd_bound(template: Template, gamma: Gamma, k: int, F: PairwiseNull,
     mbar = _rank_maps("sd", n, gamma, k)
     # F is read at (mbar_i, mbar_i) and (mbar_i, mbar_{i+1}); past M these
     # repeat (mbar_M, mbar_M), so the distinct pairs are those of i <= M
-    grid = _pair_matrix(F, tpl, np.hstack([mbar, mbar[:, 1:-1]]),
-                        np.hstack([mbar, mbar[:, 2:]]))
+    keys = np.hstack([mbar, mbar[:, 1:-1]]) * (n + 1) \
+        + np.hstack([mbar, mbar[:, 2:]])
+    grid = _pair_matrix(F, tpl, *np.divmod(np.unique(keys), n + 1))
     n0 = np.arange(k, n + 1)[:, None]
     levels = np.arange(1, n + 1)                      # i, and the split K
     real = levels <= np.count_nonzero(np.diff(mbar), axis=1)[:, None]  # <= M
@@ -476,43 +475,44 @@ def pair_su_bound(template: Template, gamma: Gamma, k: int, F: PairwiseNull,
     Ranks r <= K contribute the marginal telescope; ranks r > K contribute
     an r^-2 marginal term, the diagonal pairwise increment, and the
     rectangle masses G over consecutive threshold pairs (r, s), s > r.
-    The reported value is max over n0 of min over K in [k, n0].
+    The reported value is max over n0 of min over K in [k, n0], taken over
+    the (n0, rank) matrix of every n0 at once.  The bound at n0 is NaN when
+    F is NaN at a pair it reads: (mt_a, mt_b) with k <= a <= b <= n0, b > k.
     """
     n = template.n
     tpl = template.values(beta)
-    mts = _rank_maps("su", n, gamma, k)
+    mt = _rank_maps("su", n, gamma, k)      # strictly increasing on 0..n0
     grid = _pair_matrix(F, tpl, *np.triu_indices(n + 1))
-    r_all = np.arange(1, n + 1)
-    q_all = np.concatenate([[0.0], 1.0 / r_all[:-1] - 1.0 / r_all[1:], [0.0]])
-    strict_upper = np.triu(np.ones((n + 1, n + 1)), 1)
-
-    def value_at(n0):
-        mt = mts[n0 - k, :n0 + 1]
-        av = tpl[mt]
-        d = np.diff(av)
-        r = r_all[:n0]
-        head = n0 * d / r
-        pref = np.concatenate([[0.0], np.cumsum(head)])  # pref[j] = sum_{r<=j}
-        fmm = grid[mt[:, None], mt]
-        diag = fmm.diagonal()[1:]                        # F(av_r, av_r)
-        sup = fmm.diagonal(1)                            # F(av_r-1, av_r)
-        # sum_{s>r} G(r, s) / s, G the rectangle mass, summed by parts in s:
-        # U(r) - U(r-1) + sup_r / r - diag_r / (r+1) for r < n0, 0 at n0,
-        # with U(i) = sum_{s>i} fmm[i, s] q_s, q_s = 1/s - 1/(s+1), q_n0 = 1/n0
-        q = q_all[:n0 + 1].copy()
-        q[n0] = 1.0 / n0
-        u = (fmm * strict_upper[:n0 + 1, :n0 + 1]) @ q
-        by_parts = u[1:] - u[:-1] + sup / r - diag / (r + 1)
-        by_parts[-1] = 0.0
-        cross = (n0 * (n0 - 1) / r) * by_parts
-        pdiag = n0 * (n0 - 1) * (diag - sup) / r**2
-        row = n0 * d / r**2 + pdiag + cross
-        tail = np.concatenate([np.cumsum(row[::-1])[::-1], [0.0]])
-        kk = r_all[k - 1:n0]
-        expr = n0 * av[k - 1] / k + (pref[kk] - pref[k - 1]) + tail[kk]
-        return float(expr.min())
-
-    values = [value_at(n0) for n0 in range(k, n + 1)]
+    nan = np.isnan(grid)
+    grid[nan] = 0.0                         # NaN * 0 would poison the product
+    n0 = np.arange(k, n + 1)[:, None]
+    r = np.arange(1, n + 1)                 # r, s, and the split K
+    av = tpl[mt]
+    d = np.diff(av)                         # +0.0 past n0
+    pref = np.pad(np.cumsum(n0 * d / r, axis=1), ((0, 0), (1, 0)))
+    diag = grid[mt[:, 1:], mt[:, 1:]]       # F(av_r, av_r)
+    sup = grid[mt[:, :-1], mt[:, 1:]]       # F(av_r-1, av_r)
+    # sum_{s>r} G(r, s) / s by parts in s: U(r) - U(r-1) + sup_r / r
+    # - diag_r / (r+1) for r < n0, 0 at n0.  U(i) = sum_{s>i} F(av_i, av_s)
+    # q_s for every n0 is one product, as s > i exactly when mt_s > mt_i;
+    # past n0, where mt repeats mt_n0, q repeats q_n0 = 1/n0
+    q = np.where(r < n0, 1.0 / r - 1.0 / (r + 1), 1.0 / n0)
+    z = np.zeros(av.shape)
+    np.put_along_axis(z, mt[:, 1:], q, axis=1)  # z[n0, mt_s] = q_s
+    u = np.take_along_axis(z @ np.tril(grid, -1), mt, axis=1)
+    by_parts = np.where(r < n0, u[:, 1:] - u[:, :-1] + sup / r
+                        - diag / (r + 1), 0.0)
+    pdiag = n0 * (n0 - 1) * (diag - sup) / r**2
+    row = n0 * d / r**2 + pdiag + n0 * (n0 - 1) / r * by_parts  # 0 past n0
+    tail = np.pad(np.cumsum(row[:, ::-1], axis=1)[:, ::-1], ((0, 0), (0, 1)))
+    expr = n0 * av[:, k - 1:k] / k + (pref[:, k:] - pref[:, k - 1:k]) \
+        + tail[:, k:]
+    values = np.where(r[k - 1:] <= n0, expr, np.inf).min(axis=1)
+    if nan.any():  # NaN at (mt_a, mt_b), a in [k, n0] and b in (k, n0]
+        lo = np.zeros(av.shape)
+        np.put_along_axis(lo, mt[:, k:], 1.0, axis=1)
+        hi = lo - (np.arange(n + 1) == mt[:, k:k + 1])
+        values[((lo @ nan) * hi).any(axis=1)] = np.nan
     return BoundValue(*_worst_over_n0(values, k))
 
 

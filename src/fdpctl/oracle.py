@@ -198,8 +198,10 @@ def naive_pairwise_lr_scale(n: int, k: int, alpha: float, F: PairwiseNull) -> fl
 
 def naive_pair_sd_bound(template, gamma: Gamma, k: int, F: PairwiseNull,
                         beta: float) -> float:
-    """Literal max-min evaluation of the pairwise stepdown bound; NaN if any
-    total is."""
+    """Literal max-min evaluation of the pairwise stepdown bound.
+
+    NaN once a total is NaN: Python's min and max would skip it.
+    """
     n = template.n
     tpl = template.values(beta)
     memo = {}
@@ -229,7 +231,7 @@ def naive_pair_sd_bound(template, gamma: Gamma, k: int, F: PairwiseNull,
                 kk = max(K + 1, k)
                 total += n0 * (n0 - 1) * Fv(av[K + 1], av[K + 1]) / (kk * (kk - 1))
                 total -= n0 * Fv(av[K], av[K + 1]) / kk
-            if total != total:  # min and max would skip a NaN
+            if total != total:
                 return np.nan
             vmin = min(vmin, total)
         best = max(best, vmin)
@@ -238,8 +240,10 @@ def naive_pair_sd_bound(template, gamma: Gamma, k: int, F: PairwiseNull,
 
 def naive_pair_su_bound(template, gamma: Gamma, k: int, F: PairwiseNull,
                         beta: float) -> float:
-    """Literal max-min evaluation of the pairwise stepup bound; NaN if any
-    total is."""
+    """Literal max-min evaluation of the pairwise stepup bound.
+
+    NaN once a total is NaN: Python's min and max would skip it.
+    """
     n = template.n
     tpl = template.values(beta)
     memo = {}
@@ -266,7 +270,7 @@ def naive_pair_su_bound(template, gamma: Gamma, k: int, F: PairwiseNull,
                     g = (Fv(av[r], av[s]) - Fv(av[r - 1], av[s])
                          - Fv(av[r], av[s - 1]) + Fv(av[r - 1], av[s - 1]))
                     total += n0 * (n0 - 1) * g / (r * s)
-            if total != total:  # min and max would skip a NaN
+            if total != total:
                 return np.nan
             vmin = min(vmin, total)
         best = max(best, vmin)

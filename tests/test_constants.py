@@ -422,7 +422,7 @@ class TestPairwiseLr:
 
 
 class NanAtRanks(PairwiseNull):
-    """Independence, except NaN at the rank pair (a, b) of template vector tpl."""
+    """Independence, except NaN at the ranks (a, b) of template vector tpl."""
 
     def __init__(self, tpl, a, b):
         self.pair = (tpl[a], tpl[b])
@@ -488,6 +488,26 @@ class TestPairBounds:
         F = NanAtRanks(tmpl.values(0.05), 9, 10)
         with pytest.raises(ValueError, match="NaN at n0=12$"):
             cmod.pair_su_bound(tmpl, G10, 1, F, 0.05)
+
+    @pytest.mark.parametrize("d", ["sd", "su"])
+    def test_nan_rows_are_those_the_naive_twin_reads(self, d):
+        # one NaN rank pair at a time: the bound raises exactly when the
+        # literal twin, which reads F only where the bound's terms do, is NaN
+        tmpl = cmod.make_template("lr", 7, gamma=G4)
+        bound = getattr(cmod, f"pair_{d}_bound")
+        naive = getattr(oracle, f"naive_pair_{d}_bound")
+        raised = 0
+        for k in (1, 2, 3):
+            for a in range(8):
+                for b in range(a, 8):
+                    F = NanAtRanks(tmpl.values(0.05), a, b)
+                    if math.isnan(naive(tmpl, G4, k, F, 0.05)):
+                        raised += 1
+                        with pytest.raises(ValueError, match="NaN at n0="):
+                            bound(tmpl, G4, k, F, 0.05)
+                    else:
+                        bound(tmpl, G4, k, F, 0.05)
+        assert raised > 0
 
     @pytest.mark.parametrize("d, ranks", [("sd", (9, 11)), ("su", (1, 2))])
     def test_naive_twins_return_nan(self, d, ranks):
