@@ -25,9 +25,9 @@ from .constants import (FAMILIES, BoundValue, CalibrationError,
                         pairwise_lr_report, posdep_sd_report,
                         posdep_su_report, sd_marginal_bound,
                         su_marginal_bound)
-from .pairdist import (ComonotonePairs, EquicorrelatedPairs, IndependentPairs,
-                       PairwiseNull, bvn_cdf, conditional_cdf, make_pairwise,
-                       two_sided_equicorr_cdf, validate_pairwise)
+from .pairdist import (EquicorrelatedPairs, PairwiseNull, bvn_cdf,
+                       conditional_cdf, two_sided_equicorr_cdf,
+                       validate_pairwise)
 from .simlab import (DependenceModel, MonteCarloConfig, MonteCarloReport,
                      ProcedureSpec, build_procedure, generate_sample,
                      generate_samples, procedure_constants, run_cell,

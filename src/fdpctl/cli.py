@@ -24,7 +24,7 @@ from . import constants as cmod
 from . import oracle, simlab, svg
 from .core import CriticalConstants, Gamma
 from .engine import step_down, step_up
-from .pairdist import make_pairwise
+from .pairdist import EquicorrelatedPairs
 
 __all__ = ["main"]
 
@@ -97,7 +97,7 @@ def _pairwise(args):
         return None
     if args.rho is None:
         raise UsageError(f"family {args.family} needs --rho")
-    return make_pairwise(args.rho)
+    return EquicorrelatedPairs(args.rho)
 
 
 def cmd_constants(args) -> int:

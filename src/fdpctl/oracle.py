@@ -30,8 +30,8 @@ import numpy as np
 from . import constants as cmod
 from .core import CriticalConstants, Gamma, TruthLabels, exceeds_gamma
 from .engine import annotate_truth, step_down, step_up
-from .pairdist import (ComonotonePairs, EquicorrelatedPairs, IndependentPairs,
-                       PairwiseNull, bvn_cdf, validate_pairwise)
+from .pairdist import (EquicorrelatedPairs, PairwiseNull, bvn_cdf,
+                       validate_pairwise)
 
 __all__ = [
     "SmallInstance",
@@ -578,7 +578,7 @@ def _dual_outcomes():
                 yield _mismatch(opt(tpl, g, k, 0.05).scale,
                                 naive(tpl, n, g, k), what)
     for n, g, k in cells:
-        for F in (IndependentPairs(), EquicorrelatedPairs(0.5)):
+        for F in (EquicorrelatedPairs(0.0), EquicorrelatedPairs(0.5)):
             if k >= 2:
                 yield _mismatch(cmod.pairwise_lr_report(n, g, k, 0.05, F).scale,
                                 naive_pairwise_lr_scale(n, k, 0.05, F),
@@ -594,7 +594,7 @@ def _dual_outcomes():
 
 
 def _pairdist_outcomes():
-    """Kernel identities of bvn_cdf and validity of the built-in models."""
+    """bvn_cdf kernel identities, and validate_pairwise at six rho."""
     err = abs(bvn_cdf(0.0, 0.0, 0.5) - 1.0 / 3.0)
     yield "quadrant probability at rho=1/2 is off" if not err <= 1e-9 else None
     rng = np.random.default_rng(7)
@@ -604,8 +604,8 @@ def _pairdist_outcomes():
         resid = bvn_cdf(a, b, rho) + bvn_cdf(-a, b, -rho) - 0.5 * math.erfc(-b / math.sqrt(2))
         yield (f"reflection identity off by {resid:.2e} at a={a}, b={b}, rho={rho}"
                if not abs(resid) <= 1e-9 else None)
-    for model in (IndependentPairs(), ComonotonePairs(),
-                  EquicorrelatedPairs(0.0), EquicorrelatedPairs(0.1),
+    for model in (EquicorrelatedPairs(0.0), EquicorrelatedPairs(1.0),
+                  EquicorrelatedPairs(-1.0), EquicorrelatedPairs(0.1),
                   EquicorrelatedPairs(0.5), EquicorrelatedPairs(0.9)):
         try:
             validate_pairwise(model)

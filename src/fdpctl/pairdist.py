@@ -2,9 +2,11 @@
 
 The procedures that exploit correlation information need the joint CDF
 F(u, v) = Pr(P_i <= u, P_j <= v) shared by every pair of null p-values.
-This module provides the abstract interface plus three concrete models:
-independence, perfect (comonotone) dependence, and the two-sided
-equicorrelated-normal model, all built on a bivariate normal CDF kernel.
+This module provides the abstract interface plus one concrete model, the
+two-sided p-values of equicorrelated normals, built on a bivariate normal
+CDF kernel.  It is exact at rho = 0 (independence, u v) and at rho = +-1
+(perfect dependence, min(u, v)).  Other models subclass ``PairwiseNull``
+and are spot-checked by ``validate_pairwise``.
 
 The kernel integrates the classic identity d(Phi2)/d(rho) = bvn density,
 i.e. Phi2(a, b, rho) = Phi(a) Phi(b) + (1/2pi) * int_0^rho
@@ -31,10 +33,7 @@ __all__ = [
     "two_sided_equicorr_cdf",
     "conditional_cdf",
     "PairwiseNull",
-    "IndependentPairs",
-    "ComonotonePairs",
     "EquicorrelatedPairs",
-    "make_pairwise",
     "validate_pairwise",
 ]
 
@@ -124,17 +123,6 @@ def bvn_cdf(a, b, rho: float):
     return float(out[0]) if scalar else out
 
 
-def _pvalue_args(u, v):
-    """u and v as float arrays, each checked to lie in [0, 1]."""
-    u_arr = np.asarray(u, dtype=float)
-    v_arr = np.asarray(v, dtype=float)
-    # one pass per argument; NaN fails both comparisons
-    if not (((u_arr >= 0) & (u_arr <= 1)).all()
-            and ((v_arr >= 0) & (v_arr <= 1)).all()):
-        raise ValueError("p-value arguments must lie in [0, 1]")
-    return u_arr, v_arr
-
-
 def two_sided_equicorr_cdf(u, v, rho: float):
     """Joint CDF of two-sided normal p-values under equicorrelation rho.
 
@@ -142,16 +130,25 @@ def two_sided_equicorr_cdf(u, v, rho: float):
     P(|Z1| >= z_{u/2}, |Z2| >= z_{v/2}) for (Z1, Z2) standard bivariate
     normal with correlation rho, assembled from four quadrant evaluations
     of ``bvn_cdf``.  Symmetric in the sign of rho because the statistics
-    enter through their absolute values.
+    enter through their absolute values.  rho = 0 and |rho| = 1 take their
+    exact forms u v and min(u, v).
     """
     if not -1.0 <= rho <= 1.0:
         raise ValueError(f"correlation must lie in [-1, 1], got {rho}")
-    u_arr, v_arr = np.broadcast_arrays(*_pvalue_args(u, v))
+    u_arr = np.asarray(u, dtype=float)
+    v_arr = np.asarray(v, dtype=float)
+    # one pass per argument; NaN fails both comparisons
+    if not (((u_arr >= 0) & (u_arr <= 1)).all()
+            and ((v_arr >= 0) & (v_arr <= 1)).all()):
+        raise ValueError("p-value arguments must lie in [0, 1]")
+    u_arr, v_arr = np.broadcast_arrays(u_arr, v_arr)
     scalar = u_arr.ndim == 0
-    u_arr = np.atleast_1d(u_arr).copy()
-    v_arr = np.atleast_1d(v_arr).copy()
+    u_arr = np.atleast_1d(u_arr)
+    v_arr = np.atleast_1d(v_arr)
 
-    if abs(rho) == 1.0:
+    if rho == 0.0:
+        out = u_arr * v_arr
+    elif abs(rho) == 1.0:
         out = np.minimum(u_arr, v_arr)
     else:
         with np.errstate(divide="ignore"):
@@ -183,7 +180,7 @@ class PairwiseNull:
     F must be symmetric, F(u, v) = F(v, u): it is the common CDF of every
     ordered pair (P_i, P_j), so also of (P_j, P_i).  The stepup bound relies
     on this and evaluates F only for u <= v on its template grid, mirroring
-    the rest; the three built-in models are symmetric bit for bit.
+    the rest; ``EquicorrelatedPairs`` is symmetric bit for bit.
     """
 
     name = "pairwise"
@@ -192,23 +189,12 @@ class PairwiseNull:
         raise NotImplementedError
 
 
-class IndependentPairs(PairwiseNull):
-    name = "independence"
-
-    def cdf(self, u, v):
-        u, v = _pvalue_args(u, v)
-        return u * v
-
-
-class ComonotonePairs(PairwiseNull):
-    name = "comonotone"
-
-    def cdf(self, u, v):
-        return np.minimum(*_pvalue_args(u, v))
-
-
 class EquicorrelatedPairs(PairwiseNull):
-    """Two-sided p-values from equicorrelated standard normals."""
+    """Two-sided p-values from equicorrelated standard normals.
+
+    rho = 0 is independence and rho = +-1 perfect (comonotone) dependence,
+    both in exact form (see ``two_sided_equicorr_cdf``).
+    """
 
     def __init__(self, rho: float):
         if not -1.0 <= rho <= 1.0:
@@ -218,14 +204,6 @@ class EquicorrelatedPairs(PairwiseNull):
 
     def cdf(self, u, v):
         return two_sided_equicorr_cdf(u, v, self.rho)
-
-
-def make_pairwise(rho: float) -> PairwiseNull:
-    """The equicorrelated model at correlation rho.
-
-    rho = 0 gives ``IndependentPairs``, the exact form of that model.
-    """
-    return EquicorrelatedPairs(rho) if rho != 0 else IndependentPairs()
 
 
 def validate_pairwise(F: PairwiseNull) -> None:

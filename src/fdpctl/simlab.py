@@ -39,7 +39,7 @@ from .engine import step_counts
 # unused here; perfbench's traced run patches these names on this module
 from .engine import annotate_truth, step_down, step_up  # noqa: F401
 from . import constants as cmod
-from .pairdist import PairwiseNull, make_pairwise
+from .pairdist import EquicorrelatedPairs, PairwiseNull
 
 __all__ = [
     "DependenceModel",
@@ -243,7 +243,7 @@ def _pairwise_for(model: DependenceModel) -> PairwiseNull:
             "pairwise-aware procedures need a common pairwise correlation; "
             f"dependence kind {model.kind!r} is not equicorrelated"
         )
-    return make_pairwise(model.rho)
+    return EquicorrelatedPairs(model.rho)
 
 
 def run_cell(config: MonteCarloConfig, procedures) -> dict:

@@ -14,7 +14,7 @@ import pytest
 from fdpctl import constants as cmod
 from fdpctl import oracle
 from fdpctl.core import Gamma
-from fdpctl.pairdist import (EquicorrelatedPairs, IndependentPairs, bvn_cdf,
+from fdpctl.pairdist import (EquicorrelatedPairs, bvn_cdf,
                              two_sided_equicorr_cdf, validate_pairwise)
 from fdpctl.simlab import (DependenceModel, MonteCarloConfig, build_procedure,
                            run_cell)
@@ -145,7 +145,7 @@ def test_criterion_5_pairwise_bounds_improve_marginal_bounds():
         for g in (Gamma(1, 10), Gamma(1, 4)):
             tmpl = cmod.make_template("lr", n, gamma=g)
             tpl_ref = tmpl.values(ALPHA)
-            for F in (IndependentPairs(), EquicorrelatedPairs(0.5)):
+            for F in (EquicorrelatedPairs(0.0), EquicorrelatedPairs(0.5)):
                 for beta in (0.02, ALPHA):
                     vals = tmpl.values(beta)
                     bound_ok &= (cmod.pair_sd_bound(tmpl, g, 1, F, beta).value
@@ -207,7 +207,7 @@ def test_criterion_8_dual_implementation_equivalence():
         return rel <= 1e-12
 
     ok = True
-    models = (IndependentPairs(), EquicorrelatedPairs(0.5))
+    models = (EquicorrelatedPairs(0.0), EquicorrelatedPairs(0.5))
     for n in (5, 8, 12):
         for g in (Gamma(1, 10), Gamma(1, 4)):
             lr_vals = cmod.lr_constants(n, g, ALPHA).constants.values
@@ -239,8 +239,8 @@ def test_criterion_8_dual_implementation_equivalence():
     for d, naive in (("sd", oracle.naive_pair_sd_bound),
                      ("su", oracle.naive_pair_su_bound)):
         rep = cmod.calibrate_pair_scale(d, tmpl, G10, 1, ALPHA,
-                                        IndependentPairs())
-        ok &= abs(naive(tmpl, G10, 1, IndependentPairs(), rep.beta_star)
+                                        EquicorrelatedPairs(0.0))
+        ok &= abs(naive(tmpl, G10, 1, EquicorrelatedPairs(0.0), rep.beta_star)
                   - ALPHA) <= 1e-9 + 1e-12
     verdict("8 optimized constants match the literal-loop implementations",
             ok, f"worst rel diff {worst:.2e}")

@@ -6,7 +6,7 @@ import pytest
 from fdpctl import cli, oracle
 from fdpctl.constants import family_report
 from fdpctl.core import Gamma
-from fdpctl.pairdist import IndependentPairs
+from fdpctl.pairdist import EquicorrelatedPairs
 
 
 def run(capsys, *argv):
@@ -126,7 +126,7 @@ class TestConstantsCommand:
         code, out, _ = run(capsys, "constants", "--family", family, "--n", "20",
                            "--k", k, "--gamma", "1/10", "--rho", "0")
         report = family_report(family, 20, Gamma(1, 10), int(k), 0.05,
-                               F=IndependentPairs())
+                               F=EquicorrelatedPairs(0.0))
         expected = ["i,alpha_i"] + [
             f"{i},{float(v)!r}"
             for i, v in enumerate(report.constants.values, start=1)]

@@ -10,8 +10,7 @@ from hypothesis import strategies as st
 from fdpctl import constants as cmod
 from fdpctl import oracle, simlab
 from fdpctl.core import Gamma
-from fdpctl.pairdist import (ComonotonePairs, EquicorrelatedPairs,
-                             IndependentPairs, PairwiseNull)
+from fdpctl.pairdist import EquicorrelatedPairs, PairwiseNull
 
 G10 = Gamma(1, 10)
 G4 = Gamma(1, 4)
@@ -379,18 +378,18 @@ class TestPairwiseLr:
         # with F(u|v) = u the inner bracket telescopes to
         # (alpha/n0) (1 + H_{n0-1}) for k = 2
         n, alpha = 10, 0.05
-        rep = cmod.pairwise_lr_report(n, G10, 2, alpha, IndependentPairs())
+        rep = cmod.pairwise_lr_report(n, G10, 2, alpha, EquicorrelatedPairs(0.0))
         best = max(
             (n0 - 1) * (alpha / n0) * (1.0 + sum(1.0 / l for l in range(1, n0)))
             for n0 in range(2, n + 1)
         )
         assert rep.scale == pytest.approx(best, rel=1e-12)
         assert rep.scale == pytest.approx(
-            oracle.naive_pairwise_lr_scale(n, 2, alpha, IndependentPairs()), rel=1e-12)
+            oracle.naive_pairwise_lr_scale(n, 2, alpha, EquicorrelatedPairs(0.0)), rel=1e-12)
 
     def test_comonotone_clamps_to_plain_lr(self):
         n, k, alpha = 8, 2, 0.05
-        rep = cmod.pairwise_lr_report(n, G10, k, alpha, ComonotonePairs())
+        rep = cmod.pairwise_lr_report(n, G10, k, alpha, EquicorrelatedPairs(1.0))
         assert rep.scale >= (n - 1) / (k - 1) - 1e-12
         base = cmod.lr_template(n, G10, alpha)
         expect = base[np.maximum(np.arange(1, n + 1), k)]
@@ -398,7 +397,7 @@ class TestPairwiseLr:
 
     def test_small_scale_inflates_constants(self):
         n, k, alpha = 10, 2, 0.05
-        rep = cmod.pairwise_lr_report(n, G10, k, alpha, IndependentPairs())
+        rep = cmod.pairwise_lr_report(n, G10, k, alpha, EquicorrelatedPairs(0.0))
         assert rep.scale < 1.0
         base = cmod.lr_template(n, G10, alpha)
         flattened = base[np.maximum(np.arange(1, n + 1), k)]
@@ -406,9 +405,9 @@ class TestPairwiseLr:
 
     def test_k1_rejected(self):
         with pytest.raises(ValueError, match="k >= 2"):
-            cmod.pairwise_lr_report(10, G10, 1, 0.05, IndependentPairs())
+            cmod.pairwise_lr_report(10, G10, 1, 0.05, EquicorrelatedPairs(0.0))
         with pytest.raises(ValueError, match="need 1 <= k <= n"):
-            cmod.pairwise_lr_report(10, G10, 11, 0.05, IndependentPairs())
+            cmod.pairwise_lr_report(10, G10, 11, 0.05, EquicorrelatedPairs(0.0))
 
     def test_degenerate_model_rejected(self):
         class Countermonotone(PairwiseNull):
@@ -440,7 +439,7 @@ class TestPairBounds:
             for g in (G10, G4):
                 for k in (1, 2):
                     tmpl = cmod.make_template("lr", n, gamma=g)
-                    for F in (IndependentPairs(), EquicorrelatedPairs(0.5)):
+                    for F in (EquicorrelatedPairs(0.0), EquicorrelatedPairs(0.5)):
                         for beta in (0.05, 0.3):
                             got = cmod.pair_sd_bound(tmpl, g, k, F, beta).value
                             want = oracle.naive_pair_sd_bound(tmpl, g, k, F, beta)
@@ -452,7 +451,7 @@ class TestPairBounds:
     def test_never_exceeds_marginal_only_bounds(self):
         for n in (8, 15):
             tmpl = cmod.make_template("lr", n, gamma=G10)
-            for F in (IndependentPairs(), EquicorrelatedPairs(0.5)):
+            for F in (EquicorrelatedPairs(0.0), EquicorrelatedPairs(0.5)):
                 for beta in (0.02, 0.05):
                     vals = tmpl.values(beta)
                     assert cmod.pair_sd_bound(tmpl, G10, 1, F, beta).value <= \
@@ -462,7 +461,7 @@ class TestPairBounds:
 
     def test_vanishes_as_beta_to_zero(self):
         tmpl = cmod.make_template("lr", 8, gamma=G10)
-        F = IndependentPairs()
+        F = EquicorrelatedPairs(0.0)
         assert cmod.pair_sd_bound(tmpl, G10, 1, F, 1e-9).value < 1e-6
         assert cmod.pair_su_bound(tmpl, G10, 1, F, 1e-9).value < 1e-6
 
@@ -523,7 +522,7 @@ class TestPairBounds:
         # under independence the rectangle mass factorizes into increments
         tmpl = cmod.make_template("bh", 5)
         vals = tmpl.values(0.4)
-        grid = cmod._pair_matrix(IndependentPairs(), vals,
+        grid = cmod._pair_matrix(EquicorrelatedPairs(0.0), vals,
                                  *np.triu_indices(vals.size))
         rect = grid[1:, 1:] - grid[:-1, 1:] - grid[1:, :-1] + grid[:-1, :-1]
         d = np.diff(vals)
@@ -624,8 +623,7 @@ class TestPairBoundsFrozen:
 
     @pytest.mark.parametrize("n, model", list(PAIR_BOUNDS_FROZEN))
     def test_value_and_worst_n0(self, n, model):
-        F = IndependentPairs() if model == "independence" \
-            else EquicorrelatedPairs(model)
+        F = EquicorrelatedPairs(0.0 if model == "independence" else model)
         for (beta, d, g, k), (value, worst_n0) in \
                 PAIR_BOUNDS_FROZEN[n, model].items():
             gamma = Gamma.parse(g)
@@ -682,9 +680,9 @@ def pair_problems(draw):
         lambda p: p[0] <= 9))
     model = draw(st.sampled_from(["independence", "comonotone", "equicorr"]))
     if model == "independence":
-        F = IndependentPairs()
+        F = EquicorrelatedPairs(0.0)
     elif model == "comonotone":
-        F = ComonotonePairs()
+        F = EquicorrelatedPairs(1.0)
     else:
         F = EquicorrelatedPairs(draw(st.floats(-0.9, 0.95, exclude_min=True,
                                                exclude_max=True)))
@@ -697,7 +695,7 @@ class TestPairDifferential:
     @given(pair_problems())
     @example((9, Gamma(1, 2), 1, "lr", None, EquicorrelatedPairs(0.5), 0.05))
     @example((9, Gamma(1, 2), 3, "custom", [0.1] * 4 + [0.5] * 5,
-              ComonotonePairs(), 0.3))
+              EquicorrelatedPairs(-1.0), 0.3))
     def test_pair_bounds_match_naive_twins(self, problem):
         n, g, k, kind, custom, F, beta = problem
         tmpl = cmod.make_template(kind, n, gamma=g, custom=custom)
@@ -780,7 +778,7 @@ class TestCalibration:
         tmpl = cmod.make_template("lr", 10, gamma=G10)
         for d in ("sd", "su"):
             rep = cmod.calibrate_pair_scale(d, tmpl, G10, 1, 0.05,
-                                            IndependentPairs())
+                                            EquicorrelatedPairs(0.0))
             assert 0.05 - 1e-9 <= rep.scale <= 0.05
             assert 0.0 < rep.beta_star < 1.0
             # constants are the template at beta*, flattened at k
@@ -812,7 +810,7 @@ class TestCalibration:
         tpl_ref = tmpl.values(0.05)
         for d, marginal in (("sd", cmod.arbdep_sd_report),
                             ("su", cmod.arbdep_su_report)):
-            for F in (IndependentPairs(), EquicorrelatedPairs(0.5)):
+            for F in (EquicorrelatedPairs(0.0), EquicorrelatedPairs(0.5)):
                 pair = cmod.calibrate_pair_scale(d, tmpl, G10, 1, 0.05, F)
                 base = marginal(tpl_ref, G10, 1, 0.05)
                 assert np.all(pair.constants.values >=

@@ -5,9 +5,8 @@ import numpy as np
 import pytest
 from scipy.special import ndtr, ndtri
 
-from fdpctl.pairdist import (ComonotonePairs, EquicorrelatedPairs,
-                             IndependentPairs, bvn_cdf, conditional_cdf,
-                             make_pairwise, two_sided_equicorr_cdf,
+from fdpctl.pairdist import (EquicorrelatedPairs, PairwiseNull, bvn_cdf,
+                             conditional_cdf, two_sided_equicorr_cdf,
                              validate_pairwise)
 
 # Pinned before the build by an adaptive 2-d quadrature of the bivariate
@@ -105,8 +104,7 @@ class TestTwoSidedEquicorr:
     def test_independence_factorizes_on_grid(self):
         u = np.linspace(0.0, 1.0, 50)
         g1, g2 = np.meshgrid(u, u)
-        vals = two_sided_equicorr_cdf(g1, g2, 0.0)
-        assert np.max(np.abs(vals - g1 * g2)) < 1e-9
+        assert np.array_equal(two_sided_equicorr_cdf(g1, g2, 0.0), g1 * g2)
 
     def test_comonotone_limit(self):
         for u, v in ((0.3, 0.7), (0.05, 0.05), (0.9, 0.2)):
@@ -155,9 +153,11 @@ class TestCopulaInvariants:
         assert np.min(rect) > -1e-10                          # 2-increasing
 
     @pytest.mark.parametrize("F", [
-        IndependentPairs(), ComonotonePairs(), EquicorrelatedPairs(-0.9),
-        EquicorrelatedPairs(0.0), EquicorrelatedPairs(0.3),
-        EquicorrelatedPairs(0.999)], ids=lambda F: F.name)
+        pytest.param(EquicorrelatedPairs(-0.0), id="independence"),
+        pytest.param(EquicorrelatedPairs(-1.0), id="comonotone"),
+        EquicorrelatedPairs(-0.9), EquicorrelatedPairs(0.0),
+        EquicorrelatedPairs(0.3), EquicorrelatedPairs(0.999)],
+        ids=lambda F: F.name)
     def test_symmetric_bit_for_bit(self, F):
         # the PairwiseNull precondition the half pair grid relies on
         u = np.concatenate([[0.0, 1e-9, 1e-4], np.linspace(0.0, 1.0, 41)])
@@ -165,11 +165,11 @@ class TestCopulaInvariants:
         assert np.array_equal(F.cdf(g1, g2), F.cdf(g2, g1))
 
     def test_validate_accepts_models(self):
-        for model in (IndependentPairs(), ComonotonePairs(), EquicorrelatedPairs(0.5)):
-            validate_pairwise(model)
+        for rho in (0.0, 1.0, -1.0, 0.5):
+            validate_pairwise(EquicorrelatedPairs(rho))
 
     def test_validate_rejects_bad_model(self):
-        class Bad(IndependentPairs):
+        class Bad(PairwiseNull):
             def cdf(self, u, v):
                 return np.minimum(np.asarray(u) * 2.0, 1.0) * np.asarray(v)
 
@@ -179,8 +179,10 @@ class TestCopulaInvariants:
 
 class TestArgumentChecks:
     @pytest.mark.parametrize("F", [
-        IndependentPairs(), ComonotonePairs(), EquicorrelatedPairs(0.3),
-        EquicorrelatedPairs(1.0)], ids=lambda F: F.name)
+        pytest.param(EquicorrelatedPairs(0.0), id="independence"),
+        pytest.param(EquicorrelatedPairs(-1.0), id="comonotone"),
+        EquicorrelatedPairs(0.3), EquicorrelatedPairs(1.0)],
+        ids=lambda F: F.name)
     @pytest.mark.parametrize("bad", [-0.5, 1.5, math.nan])
     def test_out_of_range_or_nan_rejected(self, F, bad):
         for u, v in ((bad, 0.5), (0.5, bad), (np.array([0.2, bad]), 0.5)):
@@ -192,11 +194,11 @@ class TestArgumentChecks:
 
 class TestConditional:
     def test_independence(self):
-        F = IndependentPairs()
+        F = EquicorrelatedPairs(0.0)
         assert conditional_cdf(F, 0.3, 0.6) == pytest.approx(0.3, abs=0)
 
     def test_comonotone_saturates(self):
-        F = ComonotonePairs()
+        F = EquicorrelatedPairs(1.0)
         assert conditional_cdf(F, 0.8, 0.3) == 1.0
 
     def test_equicorrelated_from_pinned_value(self):
@@ -206,24 +208,34 @@ class TestConditional:
 
     def test_zero_condition_rejected(self):
         with pytest.raises(ValueError):
-            conditional_cdf(IndependentPairs(), 0.3, 0.0)
+            conditional_cdf(EquicorrelatedPairs(0.0), 0.3, 0.0)
 
     def test_nan_condition_rejected(self):
         with pytest.raises(ValueError, match="must be positive"):
-            conditional_cdf(IndependentPairs(), 0.5, math.nan)
+            conditional_cdf(EquicorrelatedPairs(0.0), 0.5, math.nan)
         with pytest.raises(ValueError, match="must be positive"):
-            conditional_cdf(ComonotonePairs(), 0.5, np.array([0.2, math.nan]))
+            conditional_cdf(EquicorrelatedPairs(1.0), 0.5,
+                            np.array([0.2, math.nan]))
 
 
-class TestFactory:
+class TestEquicorrelatedPairs:
     def test_correlation(self):
-        assert make_pairwise(0.4).rho == 0.4
+        assert EquicorrelatedPairs(0.4).rho == 0.4
 
     @pytest.mark.parametrize("rho", [0, 0.0, -0.0], ids=repr)
     def test_zero_correlation_is_independence(self, rho):
-        assert isinstance(make_pairwise(rho), IndependentPairs)
+        u = np.linspace(0.0, 1.0, 101)
+        g1, g2 = np.meshgrid(u, u)
+        assert np.array_equal(EquicorrelatedPairs(rho).cdf(g1, g2), g1 * g2)
+
+    @pytest.mark.parametrize("rho", [1.0, -1.0], ids=repr)
+    def test_unit_correlation_is_comonotone(self, rho):
+        u = np.linspace(0.0, 1.0, 101)
+        g1, g2 = np.meshgrid(u, u)
+        assert np.array_equal(EquicorrelatedPairs(rho).cdf(g1, g2),
+                              np.minimum(g1, g2))
 
     def test_out_of_range(self):
         for rho in (1.5, -1.5, math.nan):
             with pytest.raises(ValueError, match=r"must lie in \[-1, 1\]"):
-                make_pairwise(rho)
+                EquicorrelatedPairs(rho)

@@ -9,7 +9,7 @@ import pytest
 from fdpctl import simlab
 from fdpctl.core import Gamma, TruthLabels, exceeds_gamma
 from fdpctl.engine import annotate_truth, step_down, step_up
-from fdpctl.pairdist import EquicorrelatedPairs, IndependentPairs
+from fdpctl.pairdist import EquicorrelatedPairs
 from fdpctl.simlab import (DependenceModel, MonteCarloConfig, ProcedureSpec,
                            build_procedure, generate_sample, generate_samples,
                            procedure_constants, run_cell, run_grid,
@@ -214,7 +214,7 @@ def literal_cell(cfg, procedures):
     labels = TruthLabels.nulls_first(cfg.n, cfg.n0)
     mu = np.where(labels.as_array(), 0.0, cfg.effect)
     rho = cfg.model.rho
-    F = IndependentPairs() if rho == 0.0 else EquicorrelatedPairs(rho)
+    F = EquicorrelatedPairs(rho)
     resolved = [(spec, procedure_constants(spec, cfg.n, cfg.gamma, cfg.alpha,
                                            F if spec.uses_pairwise else None),
                  step_down if spec.direction == "sd" else step_up)
@@ -324,11 +324,11 @@ class TestExpectationBounds:
         from fdpctl import constants as cmod
         from fdpctl.core import CriticalConstants, TruthLabels
         from fdpctl.engine import annotate_truth, step_down, step_up
-        from fdpctl.pairdist import EquicorrelatedPairs, IndependentPairs
+        from fdpctl.pairdist import EquicorrelatedPairs
 
         n, beta, reps = 20, 0.02, 2000
         tmpl = cmod.make_template("lr", n, gamma=G10)
-        F = IndependentPairs() if rho == 0.0 else EquicorrelatedPairs(rho)
+        F = EquicorrelatedPairs(rho)
         vals = tmpl.values(beta)
         constants = CriticalConstants(
             values=vals[np.maximum(np.arange(1, n + 1), k)], k=k)
