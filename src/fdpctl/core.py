@@ -61,7 +61,11 @@ class Gamma:
         if isinstance(value, Gamma):
             return value
         if isinstance(value, str):
-            frac = Fraction(value.strip())
+            try:
+                frac = Fraction(value.strip())
+            except ZeroDivisionError:
+                raise ValueError(
+                    f"gamma {value!r} has a zero denominator") from None
         elif isinstance(value, Fraction):
             frac = value
         elif isinstance(value, int):

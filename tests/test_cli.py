@@ -435,3 +435,16 @@ class TestVerifyCommand:
         code, out, _ = run(capsys, "verify", "--suite", "pairdist",
                            "--fuzz-count", "10")
         assert code == 0
+
+
+@pytest.mark.parametrize("argv", [
+    ["constants", "--family", "lr", "--n", "5"],
+    ["simulate", "--procedures", "lr-sd", "--n", "10", "--reps", "5"],
+    ["test", "--direction", "su", "--family", "lr"],
+], ids=lambda argv: argv[0])
+def test_zero_denominator_gamma_is_usage_error(capsys, pfile, argv):
+    if argv[0] == "test":
+        argv = [*argv, "--pvalues", pfile]
+    code, out, err = run(capsys, *argv, "--gamma", "1/0")
+    assert (code, out) == (1, "")
+    assert err == "usage error: gamma '1/0' has a zero denominator\n"

@@ -28,6 +28,11 @@ class TestGamma:
         with pytest.raises(ValueError):
             Gamma.parse(bad)
 
+    @pytest.mark.parametrize("bad", ["1/0", "0/0", " 3/0 "])
+    def test_rejects_zero_denominator(self, bad):
+        with pytest.raises(ValueError, match="zero denominator"):
+            Gamma.parse(bad)
+
     @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
     def test_rejects_non_finite_float(self, bad):
         with pytest.raises(ValueError, match="gamma must be finite"):
