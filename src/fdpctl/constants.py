@@ -32,7 +32,6 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -83,7 +82,7 @@ def lr_template(n: int, gamma: Gamma, beta: float) -> np.ndarray:
     directly; gamma = 0 reduces to the Holm constants beta/(n+1-i).
     """
     i = np.arange(n + 1)
-    g = np.array([gamma.floor_mul(int(j)) for j in i], dtype=np.int64)
+    g = gamma.floor_mul(i)
     denom = n + g + 1 - i
     assert np.all(denom[1:] >= 1), "denominator cannot drop below 1 for i <= n"
     vals = (g + 1) * beta / denom
@@ -171,25 +170,10 @@ def _check_template_vector(tpl: np.ndarray) -> int:
 # ---------------------------------------------------------------------------
 # index maps
 
-@lru_cache(maxsize=1024)
-def _floor_odds_plus1(n: int, gamma: Gamma) -> np.ndarray:
-    """f(j) = floor(gamma j / (1-gamma)) + 1 for j = 0..n, exact."""
-    out = np.array([gamma.floor_odds_mul(j) + 1 for j in range(n + 1)],
-                   dtype=np.int64)
-    out.setflags(write=False)
-    return out
-
-
-@lru_cache(maxsize=1024)
 def _su_rank_raw(n: int, gamma: Gamma) -> np.ndarray:
     """m*(i) for i = 0..n: count of j in [1, n] with floor(gamma j) + 1 <= i."""
-    g = np.array([gamma.floor_mul(j) + 1 for j in range(1, n + 1)],
-                 dtype=np.int64)
-    out = np.concatenate(
-        [[0], np.searchsorted(g, np.arange(1, n + 1), side="right")]
-    ).astype(np.int64)
-    out.setflags(write=False)
-    return out
+    return np.searchsorted(gamma.floor_mul(np.arange(1, n + 1)) + 1,
+                           np.arange(n + 1), side="right")
 
 
 def _rank_maps(direction: str, n: int, gamma: Gamma, k: int) -> np.ndarray:
@@ -205,7 +189,7 @@ def _rank_maps(direction: str, n: int, gamma: Gamma, k: int) -> np.ndarray:
     if direction == "su":
         level = np.minimum(i, n0)
         return np.minimum(_su_rank_raw(n, gamma)[level], level + n1)
-    f = _floor_odds_plus1(n, gamma)
+    f = gamma.floor_odds_mul(np.arange(n + 1)) + 1  # f(j), j = 0..n
     level = np.minimum(i[1:], np.minimum(n0, f[n1]))  # 1..M, then M again
     slack = np.minimum(f.searchsorted(level, side="right") - 1, n1)  # m(i)
     if (f[slack] != level).any():

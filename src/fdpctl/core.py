@@ -86,14 +86,22 @@ class Gamma:
     def fraction(self) -> Fraction:
         return Fraction(self.num, self.den)
 
-    def floor_mul(self, i: int) -> int:
-        """Exact floor(gamma * i) for integer i >= 0."""
+    def floor_mul(self, i):
+        """Exact floor(gamma * i) for integer i >= 0, or elementwise for an
+        int array i."""
+        # a Python int skips the array test: a 20,000-draw lemma suite makes
+        # about 270,000 scalar floor calls
+        if type(i) is not int and isinstance(i, np.ndarray):
+            return _floor_ratio(self.num, self.den, i, "i")
         if i < 0:
             raise ValueError(f"i must be nonnegative, got {i}")
         return (self.num * i) // self.den
 
-    def floor_odds_mul(self, j: int) -> int:
-        """Exact floor(gamma * j / (1 - gamma)) for integer j >= 0."""
+    def floor_odds_mul(self, j):
+        """Exact floor(gamma * j / (1 - gamma)) for integer j >= 0, or
+        elementwise for an int array j."""
+        if type(j) is not int and isinstance(j, np.ndarray):
+            return _floor_ratio(self.num, self.den - self.num, j, "j")
         if j < 0:
             raise ValueError(f"j must be nonnegative, got {j}")
         return (self.num * j) // (self.den - self.num)
@@ -103,6 +111,23 @@ class Gamma:
 
     def __str__(self) -> str:
         return f"{self.num}/{self.den}"
+
+
+def _floor_ratio(num: int, den: int, j: np.ndarray, name: str) -> np.ndarray:
+    """floor(num * j / den) elementwise as int64, for an int array j >= 0.
+
+    Computed in int64 unless num * max(j) or den exceeds it, where numpy
+    would wrap or raise; then in Python ints.
+    """
+    j = np.asarray(j, dtype=np.int64)
+    low = int(j.min(initial=0))
+    if low < 0:
+        raise ValueError(f"{name} must be nonnegative, got {low}")
+    top = np.iinfo(np.int64).max
+    if num * int(j.max(initial=0)) > top or den > top:
+        return np.array([num * x // den for x in j.ravel().tolist()],
+                        dtype=np.int64).reshape(j.shape)
+    return num * j // den
 
 
 @dataclass(frozen=True)

@@ -22,6 +22,17 @@ class TestTemplates:
         assert tpl[1] == pytest.approx(0.005, abs=1e-15)     # 1*0.05/10
         assert tpl[10] == pytest.approx(0.05, abs=1e-15)     # 2*0.05/(10+2-10)
 
+    @pytest.mark.parametrize("g", [Gamma(0, 1), G10, G4, Gamma(1, 10**20),
+                                   Gamma(10**18 + 1, 10**19)], ids=str)
+    def test_lr_matches_scalar_floor_loop(self, g):
+        # the template as it was computed with one floor_mul call per rank
+        for n in (1, 7, 60, 200):
+            i = np.arange(n + 1)
+            floors = np.array([g.floor_mul(int(j)) for j in i])
+            want = (floors + 1) * 0.05 / (n + floors + 1 - i)
+            want[0] = 0.0
+            assert np.array_equal(cmod.lr_template(n, g, 0.05), want)
+
     def test_lr_gamma_zero_gives_holm(self):
         tpl = cmod.lr_template(100, Gamma(0, 1), 0.05)
         i = np.arange(1, 101)
@@ -96,7 +107,8 @@ class TestIndexMaps:
         # every row: M, mbar on 1..M and mt on 0..n0 match the literal maps,
         # and the row repeats its last rank after that
         for n in range(1, 31):
-            for g in (Gamma(0, 1), G10, G4, Gamma(1, 3), Gamma(1, 2)):
+            for g in (Gamma(0, 1), G10, G4, Gamma(1, 3), Gamma(1, 2),
+                      Gamma(1, 10**20), Gamma(10**18 + 1, 10**19)):
                 for k in sorted({1, 2, 3, n} & set(range(1, n + 1))):
                     mbars = cmod._rank_maps("sd", n, g, k)
                     mts = cmod._rank_maps("su", n, g, k)

@@ -53,6 +53,23 @@ class TestGamma:
             for i in range(20000):
                 assert g.floor_mul(i) == math.floor(f * i)
 
+    @pytest.mark.parametrize("g", [Gamma(0, 1), Gamma(1, 10), Gamma(1, 4),
+                                   Gamma(1, 10**20), Gamma(10**18 + 1, 10**19)],
+                             ids=str)
+    def test_array_floors_match_scalar(self, g):
+        # j up to 8 keeps num * j inside int64 for every g; up to 299 does not
+        for j in (np.arange(9), np.arange(300), np.arange(12).reshape(3, 4)):
+            for floor in (g.floor_mul, g.floor_odds_mul):
+                got = floor(j)
+                assert got.dtype == np.int64 and got.shape == j.shape
+                assert got.ravel().tolist() == [floor(int(x)) for x in j.flat]
+
+    def test_array_floors_reject_negative(self):
+        with pytest.raises(ValueError, match="i must be nonnegative, got -1"):
+            Gamma(1, 10).floor_mul(np.array([3, -1]))
+        with pytest.raises(ValueError, match="j must be nonnegative, got -2"):
+            Gamma(1, 10).floor_odds_mul(np.array([-2]))
+
     @given(st.integers(0, 10**6), st.sampled_from([(1, 10), (1, 4), (3, 10), (1, 2), (7, 13)]))
     @settings(max_examples=300)
     def test_floor_mul_matches_rational_eval_random(self, i, nd):
