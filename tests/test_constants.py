@@ -14,6 +14,7 @@ from fdpctl.pairdist import EquicorrelatedPairs, PairwiseNull
 
 G10 = Gamma(1, 10)
 G4 = Gamma(1, 4)
+INDEP = EquicorrelatedPairs(0.0)  # independence, exact
 
 
 class TestTemplates:
@@ -390,18 +391,19 @@ class TestPairwiseLr:
         # with F(u|v) = u the inner bracket telescopes to
         # (alpha/n0) (1 + H_{n0-1}) for k = 2
         n, alpha = 10, 0.05
-        rep = cmod.pairwise_lr_report(n, G10, 2, alpha, EquicorrelatedPairs(0.0))
+        rep = cmod.pairwise_lr_report(n, G10, 2, alpha, INDEP)
         best = max(
             (n0 - 1) * (alpha / n0) * (1.0 + sum(1.0 / l for l in range(1, n0)))
             for n0 in range(2, n + 1)
         )
         assert rep.scale == pytest.approx(best, rel=1e-12)
         assert rep.scale == pytest.approx(
-            oracle.naive_pairwise_lr_scale(n, 2, alpha, EquicorrelatedPairs(0.0)), rel=1e-12)
+            oracle.naive_pairwise_lr_scale(n, 2, alpha, INDEP), rel=1e-12)
 
     def test_comonotone_clamps_to_plain_lr(self):
         n, k, alpha = 8, 2, 0.05
-        rep = cmod.pairwise_lr_report(n, G10, k, alpha, EquicorrelatedPairs(1.0))
+        rep = cmod.pairwise_lr_report(n, G10, k, alpha,
+                                      EquicorrelatedPairs(1.0))
         assert rep.scale >= (n - 1) / (k - 1) - 1e-12
         base = cmod.lr_template(n, G10, alpha)
         expect = base[np.maximum(np.arange(1, n + 1), k)]
@@ -409,7 +411,7 @@ class TestPairwiseLr:
 
     def test_small_scale_inflates_constants(self):
         n, k, alpha = 10, 2, 0.05
-        rep = cmod.pairwise_lr_report(n, G10, k, alpha, EquicorrelatedPairs(0.0))
+        rep = cmod.pairwise_lr_report(n, G10, k, alpha, INDEP)
         assert rep.scale < 1.0
         base = cmod.lr_template(n, G10, alpha)
         flattened = base[np.maximum(np.arange(1, n + 1), k)]
@@ -417,9 +419,9 @@ class TestPairwiseLr:
 
     def test_k1_rejected(self):
         with pytest.raises(ValueError, match="k >= 2"):
-            cmod.pairwise_lr_report(10, G10, 1, 0.05, EquicorrelatedPairs(0.0))
+            cmod.pairwise_lr_report(10, G10, 1, 0.05, INDEP)
         with pytest.raises(ValueError, match="need 1 <= k <= n"):
-            cmod.pairwise_lr_report(10, G10, 11, 0.05, EquicorrelatedPairs(0.0))
+            cmod.pairwise_lr_report(10, G10, 11, 0.05, INDEP)
 
     def test_degenerate_model_rejected(self):
         class Countermonotone(PairwiseNull):
@@ -451,7 +453,7 @@ class TestPairBounds:
             for g in (G10, G4):
                 for k in (1, 2):
                     tmpl = cmod.make_template("lr", n, gamma=g)
-                    for F in (EquicorrelatedPairs(0.0), EquicorrelatedPairs(0.5)):
+                    for F in (INDEP, EquicorrelatedPairs(0.5)):
                         for beta in (0.05, 0.3):
                             got = cmod.pair_sd_bound(tmpl, g, k, F, beta).value
                             want = oracle.naive_pair_sd_bound(tmpl, g, k, F, beta)
@@ -463,7 +465,7 @@ class TestPairBounds:
     def test_never_exceeds_marginal_only_bounds(self):
         for n in (8, 15):
             tmpl = cmod.make_template("lr", n, gamma=G10)
-            for F in (EquicorrelatedPairs(0.0), EquicorrelatedPairs(0.5)):
+            for F in (INDEP, EquicorrelatedPairs(0.5)):
                 for beta in (0.02, 0.05):
                     vals = tmpl.values(beta)
                     assert cmod.pair_sd_bound(tmpl, G10, 1, F, beta).value <= \
@@ -473,7 +475,7 @@ class TestPairBounds:
 
     def test_vanishes_as_beta_to_zero(self):
         tmpl = cmod.make_template("lr", 8, gamma=G10)
-        F = EquicorrelatedPairs(0.0)
+        F = INDEP
         assert cmod.pair_sd_bound(tmpl, G10, 1, F, 1e-9).value < 1e-6
         assert cmod.pair_su_bound(tmpl, G10, 1, F, 1e-9).value < 1e-6
 
@@ -534,8 +536,7 @@ class TestPairBounds:
         # under independence the rectangle mass factorizes into increments
         tmpl = cmod.make_template("bh", 5)
         vals = tmpl.values(0.4)
-        grid = cmod._pair_matrix(EquicorrelatedPairs(0.0), vals,
-                                 *np.triu_indices(vals.size))
+        grid = cmod._pair_matrix(INDEP, vals, *np.triu_indices(vals.size))
         rect = grid[1:, 1:] - grid[:-1, 1:] - grid[1:, :-1] + grid[:-1, :-1]
         d = np.diff(vals)
         assert np.allclose(rect, np.outer(d, d), rtol=1e-12, atol=1e-18)
@@ -692,7 +693,7 @@ def pair_problems(draw):
         lambda p: p[0] <= 9))
     model = draw(st.sampled_from(["independence", "comonotone", "equicorr"]))
     if model == "independence":
-        F = EquicorrelatedPairs(0.0)
+        F = INDEP
     elif model == "comonotone":
         F = EquicorrelatedPairs(1.0)
     else:
@@ -789,8 +790,7 @@ class TestCalibration:
     def test_solves_bound_to_target(self):
         tmpl = cmod.make_template("lr", 10, gamma=G10)
         for d in ("sd", "su"):
-            rep = cmod.calibrate_pair_scale(d, tmpl, G10, 1, 0.05,
-                                            EquicorrelatedPairs(0.0))
+            rep = cmod.calibrate_pair_scale(d, tmpl, G10, 1, 0.05, INDEP)
             assert 0.05 - 1e-9 <= rep.scale <= 0.05
             assert 0.0 < rep.beta_star < 1.0
             # constants are the template at beta*, flattened at k
@@ -822,7 +822,7 @@ class TestCalibration:
         tpl_ref = tmpl.values(0.05)
         for d, marginal in (("sd", cmod.arbdep_sd_report),
                             ("su", cmod.arbdep_su_report)):
-            for F in (EquicorrelatedPairs(0.0), EquicorrelatedPairs(0.5)):
+            for F in (INDEP, EquicorrelatedPairs(0.5)):
                 pair = cmod.calibrate_pair_scale(d, tmpl, G10, 1, 0.05, F)
                 base = marginal(tpl_ref, G10, 1, 0.05)
                 assert np.all(pair.constants.values >=
