@@ -19,12 +19,11 @@ from .core import (CriticalConstants, Gamma, RejectionResult, TruthLabels,
 from .engine import annotate_truth, step_counts, step_down, step_up
 from .constants import (FAMILIES, BoundValue, CalibrationError,
                         ConstantsReport, Template, arbdep_sd_report,
-                        arbdep_su_report, bh_template, calibrate_pair_scale,
-                        family_report, gbs_template, lr_constants,
-                        lr_template, make_template, pair_sd_bound, pair_su_bound,
-                        pairwise_lr_report, posdep_sd_report,
-                        posdep_su_report, sd_marginal_bound,
-                        su_marginal_bound)
+                        arbdep_su_report, calibrate_pair_scale, family_report,
+                        lr_constants, lr_template, make_template,
+                        pair_sd_bound, pair_su_bound, pairwise_lr_report,
+                        posdep_sd_report, posdep_su_report,
+                        sd_marginal_bound, su_marginal_bound)
 from .pairdist import (EquicorrelatedPairs, PairwiseNull, bvn_cdf,
                        conditional_cdf, two_sided_equicorr_cdf,
                        validate_pairwise)

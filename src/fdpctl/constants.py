@@ -42,8 +42,6 @@ __all__ = [
     "Template",
     "make_template",
     "lr_template",
-    "bh_template",
-    "gbs_template",
     "ConstantsReport",
     "BoundValue",
     "CalibrationError",
@@ -90,17 +88,6 @@ def lr_template(n: int, gamma: Gamma, beta: float) -> np.ndarray:
     return vals
 
 
-def bh_template(n: int, beta: float) -> np.ndarray:
-    """Benjamini-Hochberg base constants i beta / n, with leading 0."""
-    return np.arange(n + 1) * beta / n
-
-
-def gbs_template(n: int, beta: float) -> np.ndarray:
-    """GBS stepdown base constants i beta / (n - i (1-beta) + 1), leading 0."""
-    i = np.arange(n + 1)
-    return i * beta / (n - i * (1.0 - beta) + 1.0)
-
-
 _NON_FINITE = "template values must be finite (no NaN or inf)"
 
 
@@ -108,8 +95,10 @@ _NON_FINITE = "template values must be finite (no NaN or inf)"
 class Template:
     """Base-constant family evaluated at a scale beta in (0, 1).
 
-    ``custom`` vectors are taken at unit scale and multiplied by beta, so
-    every kind is nondecreasing in the rank and strictly increasing in beta.
+    At rank i: lr is ``lr_template``, bh is i beta / n, gbs is the GBS
+    stepdown i beta / (n - i (1-beta) + 1), and ``custom`` vectors are
+    taken at unit scale and multiplied by beta, so every kind is
+    nondecreasing in the rank and strictly increasing in beta.
     """
 
     kind: str
@@ -120,8 +109,12 @@ class Template:
     def __post_init__(self):
         if self.kind not in ("lr", "bh", "gbs", "custom"):
             raise ValueError(f"unknown template kind {self.kind!r}")
+        if self.n < 1:
+            raise ValueError(f"template needs n >= 1, got n={self.n}")
         if self.kind == "lr" and self.gamma is None:
             raise ValueError("lr template needs a gamma threshold")
+        if self.kind != "custom" and self.custom is not None:
+            raise ValueError(f"{self.kind} template takes no custom values")
         if self.kind == "custom":
             if self.custom is None or len(self.custom) != self.n:
                 raise ValueError("custom template needs n base values")
@@ -138,17 +131,15 @@ class Template:
             raise ValueError(f"scale beta must lie in (0, 1), got {beta}")
         if self.kind == "lr":
             return lr_template(self.n, self.gamma, beta)
+        if self.kind == "custom":
+            return np.concatenate([[0.0], beta * np.asarray(self.custom)])
+        i = np.arange(self.n + 1)
         if self.kind == "bh":
-            return bh_template(self.n, beta)
-        if self.kind == "gbs":
-            return gbs_template(self.n, beta)
-        return np.concatenate([[0.0], beta * np.asarray(self.custom)])
+            return i * beta / self.n
+        return i * beta / (self.n - i * (1.0 - beta) + 1.0)
 
 
-def make_template(kind: str, n: int, gamma: Gamma | None = None,
-                  custom=None) -> Template:
-    return Template(kind=kind, n=n, gamma=gamma,
-                    custom=None if custom is None else tuple(custom))
+make_template = Template
 
 
 def _check_template_vector(tpl: np.ndarray) -> int:
@@ -226,6 +217,19 @@ def _check_k(n: int, k: int) -> None:
         raise ValueError(f"need 1 <= k <= n, got n={n}, k={k}")
 
 
+def _report(values: np.ndarray, k: int, **evidence) -> ConstantsReport:
+    """Ranks 1..n of the rank-0..n ``values``, flattened below rank k.
+
+    Raises once the top constant reaches 1.  ``evidence`` holds the other
+    ``ConstantsReport`` fields.
+    """
+    if values[-1] >= 1.0:
+        raise ValueError(f"constants reach {values[-1]:.6g} >= 1; lower alpha")
+    ranks = np.maximum(np.arange(1, values.size), k)
+    constants = CriticalConstants(values=values[ranks], k=k)
+    return ConstantsReport(constants=constants, **evidence)
+
+
 def _worst_over_n0(values, k: int):
     """(max of values, first argmax + k): values[j] is the bound at n0 = k + j.
 
@@ -286,14 +290,7 @@ def _marginal_report(direction: str, value, tpl, gamma: Gamma, k: int,
     """Template flattened at rank k and rescaled by alpha / C."""
     tpl = np.asarray(tpl, dtype=float)
     scale, worst_n0 = _marginal_scale(direction, value, tpl, gamma, k)
-    ranks = np.maximum(np.arange(1, tpl.size), k)
-    values = alpha * tpl[ranks] / scale
-    if values[-1] >= 1.0:
-        raise ValueError(
-            f"rescaled constants reach {values[-1]:.6g} >= 1; lower alpha"
-        )
-    return ConstantsReport(scale=scale, worst_n0=worst_n0,
-                           constants=CriticalConstants(values=values, k=k))
+    return _report(alpha * tpl / scale, k, scale=scale, worst_n0=worst_n0)
 
 
 def posdep_sd_report(tpl, gamma: Gamma, k: int, alpha: float) -> ConstantsReport:
@@ -344,8 +341,7 @@ def su_marginal_bound(tpl, gamma: Gamma) -> float:
 
 def lr_constants(n: int, gamma: Gamma, alpha: float) -> ConstantsReport:
     """The Lehmann-Romano critical constants at level alpha (k = 1 family)."""
-    vals = lr_template(n, gamma, alpha)[1:]
-    return ConstantsReport(constants=CriticalConstants(values=vals, k=1))
+    return _report(lr_template(n, gamma, alpha), 1)
 
 
 def pairwise_lr_report(n: int, gamma: Gamma, k: int, alpha: float,
@@ -378,15 +374,8 @@ def pairwise_lr_report(n: int, gamma: Gamma, k: int, alpha: float,
             f"degenerate pairwise model: worst-case C = {best:.6g} <= 0, so F "
             "has no lower-tail mass at the Lehmann-Romano thresholds"
         )
-    base = lr_template(n, gamma, alpha)
-    ranks = np.maximum(np.arange(1, n + 1), k)
-    values = base[ranks] / min(best, 1.0)
-    if values[-1] >= 1.0:
-        raise ValueError(
-            f"inflated constants reach {values[-1]:.6g} >= 1; lower alpha"
-        )
-    return ConstantsReport(scale=best, worst_n0=best_n0,
-                           constants=CriticalConstants(values=values, k=k))
+    return _report(lr_template(n, gamma, alpha) / min(best, 1.0), k,
+                   scale=best, worst_n0=best_n0)
 
 
 # ---------------------------------------------------------------------------
@@ -598,11 +587,8 @@ def calibrate_pair_scale(direction: str, template: Template, gamma: Gamma,
                "beta_star=%r residual=%.3e worst_n0=%d", direction,
                template.n, len(evaluated), beta_star, alpha - final.value,
                final.worst_n0)
-    tpl_star = template.values(beta_star)
-    ranks = np.maximum(np.arange(1, template.n + 1), k)
-    constants = CriticalConstants(values=tpl_star[ranks], k=k)
-    return ConstantsReport(constants=constants, scale=final.value,
-                           worst_n0=final.worst_n0, beta_star=beta_star)
+    return _report(template.values(beta_star), k, scale=final.value,
+                   worst_n0=final.worst_n0, beta_star=beta_star)
 
 
 # ---------------------------------------------------------------------------

@@ -92,7 +92,7 @@ class Gamma:
         # a Python int skips the array test: a 20,000-draw lemma suite makes
         # about 270,000 scalar floor calls
         if type(i) is not int and isinstance(i, np.ndarray):
-            return _floor_ratio(self.num, self.den, i, "i")
+            return self._floor_ratio(self.den, i, "i")
         if i < 0:
             raise ValueError(f"i must be nonnegative, got {i}")
         return (self.num * i) // self.den
@@ -101,33 +101,38 @@ class Gamma:
         """Exact floor(gamma * j / (1 - gamma)) for integer j >= 0, or
         elementwise for an int array j."""
         if type(j) is not int and isinstance(j, np.ndarray):
-            return _floor_ratio(self.num, self.den - self.num, j, "j")
+            return self._floor_ratio(self.den - self.num, j, "j")
         if j < 0:
             raise ValueError(f"j must be nonnegative, got {j}")
         return (self.num * j) // (self.den - self.num)
+
+    def _floor_ratio(self, den: int, j: np.ndarray, name: str) -> np.ndarray:
+        """floor(num * j / den) elementwise as int64, for an int array j >= 0.
+
+        Computed in int64 unless num * max(j) or den exceeds it, where numpy
+        would wrap or raise; then in Python ints.  A floor beyond int64
+        raises, naming gamma.
+        """
+        j = np.asarray(j, dtype=np.int64)
+        low = int(j.min(initial=0))
+        if low < 0:
+            raise ValueError(f"{name} must be nonnegative, got {low}")
+        top = np.iinfo(np.int64).max
+        high = int(j.max(initial=0))
+        if self.num * high <= top and den <= top:
+            return self.num * j // den
+        if self.num * high // den > top:
+            raise ValueError(
+                f"gamma {self} is too close to 1: floor({name} * {self.num}"
+                f"/{den}) exceeds int64 at {name} = {high}")
+        return np.array([self.num * x // den for x in j.ravel().tolist()],
+                        dtype=np.int64).reshape(j.shape)
 
     def __float__(self) -> float:
         return self.num / self.den
 
     def __str__(self) -> str:
         return f"{self.num}/{self.den}"
-
-
-def _floor_ratio(num: int, den: int, j: np.ndarray, name: str) -> np.ndarray:
-    """floor(num * j / den) elementwise as int64, for an int array j >= 0.
-
-    Computed in int64 unless num * max(j) or den exceeds it, where numpy
-    would wrap or raise; then in Python ints.
-    """
-    j = np.asarray(j, dtype=np.int64)
-    low = int(j.min(initial=0))
-    if low < 0:
-        raise ValueError(f"{name} must be nonnegative, got {low}")
-    top = np.iinfo(np.int64).max
-    if num * int(j.max(initial=0)) > top or den > top:
-        return np.array([num * x // den for x in j.ravel().tolist()],
-                        dtype=np.int64).reshape(j.shape)
-    return num * j // den
 
 
 @dataclass(frozen=True)
@@ -220,8 +225,8 @@ class CriticalConstants:
             raise ValueError("constants must be nondecreasing")
         if self.k > 1 and (vals[: self.k - 1] != vals[self.k - 1]).any():
             raise ValueError(
-                f"the first {self.k - 1} constants must equal the {self.k}-th"
-            )
+                f"every constant below rank {self.k} must equal the constant "
+                f"at rank {self.k}")
 
     @property
     def n(self) -> int:

@@ -170,6 +170,16 @@ class TestConstantsCommand:
                            "--gamma", "1/10")
         assert code == 1 and "--n" in err
 
+    @pytest.mark.parametrize("family", [("thm35",), ("thm37", "--rho", "0.3")],
+                             ids=lambda f: f[0])
+    def test_gamma_with_floors_beyond_int64_is_usage_error(self, capsys, family):
+        big = 10**18
+        code, out, err = run(capsys, "constants", "--family", *family,
+                             "--n", "20", "--gamma", f"{big}/{big + 1}")
+        assert (code, out) == (1, "")
+        assert err == (f"usage error: gamma {big}/{big + 1} is too close to 1: "
+                       f"floor(j * {big}/1) exceeds int64 at j = 20\n")
+
     def test_unattainable_calibration_is_numeric_failure(self, capsys):
         code, _, err = run(capsys, "constants", "--family", "thm37", "--n", "5",
                            "--gamma", "1/10", "--rho", "0",
@@ -266,6 +276,13 @@ class TestTestCommand:
         assert code == 0
         for line in ("# gamma=", "# alpha=0.05", "# template=lr", "# rho="):
             assert line in out.splitlines()
+
+    def test_unflattened_constants_name_rank_k(self, capsys, pfile):
+        code, out, err = run(capsys, "test", "--pvalues", pfile, "--direction",
+                             "su", "--constants", "0.1,0.2,0.3", "--k", "2")
+        assert (code, out) == (1, "")
+        assert err == ("usage error: every constant below rank 2 must equal "
+                       "the constant at rank 2\n")
 
     def test_n_is_read_from_the_pvalue_file(self, capsys, pfile):
         code, _, err = run(capsys, "test", "--pvalues", pfile, "--direction",

@@ -74,6 +74,28 @@ class TestTemplates:
         with pytest.raises(ValueError):
             cmod.make_template("bh", 5).values(1.0)
 
+    def test_make_template_is_the_constructor(self):
+        assert cmod.make_template is cmod.Template
+        assert np.allclose(cmod.Template("bh", 4).values(0.5),
+                           [0.0, 0.125, 0.25, 0.375, 0.5], rtol=0, atol=1e-16)
+        # i beta / (n - i (1-beta) + 1) at n = 4, beta = 1/2
+        assert np.allclose(cmod.Template("gbs", 4).values(0.5),
+                           [0.0, 1 / 9, 1 / 4, 3 / 7, 2 / 3], rtol=0, atol=1e-16)
+
+    @pytest.mark.parametrize("args, kwargs", [
+        (("bh", 0), {}), (("gbs", 0), {}), (("lr", -3, G10), {}),
+        (("custom", 0), {"custom": []}),
+    ], ids=["bh", "gbs", "lr", "custom"])
+    def test_n_below_one_rejected(self, args, kwargs):
+        with pytest.raises(ValueError, match=r"template needs n >= 1, got n="):
+            cmod.Template(*args, **kwargs)
+
+    @pytest.mark.parametrize("kind", ["lr", "bh", "gbs"])
+    def test_custom_values_need_custom_kind(self, kind):
+        with pytest.raises(ValueError,
+                           match=f"{kind} template takes no custom values"):
+            cmod.Template(kind, 3, gamma=G10, custom=[0.2, 0.4, 0.9])
+
 
 def levels(mbar):
     """M of one mbar row: the count of increases, as the row is flat past M."""
@@ -384,6 +406,28 @@ class TestFamilyRegistry:
         for family in cmod.FAMILIES:
             with pytest.raises(ValueError, match="need 1 <= k <= n"):
                 cmod.family_report(family, n, G10, k, 0.05, F=self.F)
+
+
+class FlatCopula(PairwiseNull):
+    """F(u, v) = 0.01 min(u, v): little mass, so pairwise LR inflates a lot."""
+
+    def cdf(self, u, v):
+        return 0.01 * np.minimum(u, v)
+
+
+@pytest.mark.parametrize("build, top", [
+    (lambda: cmod.posdep_sd_report(np.array([0, .024, .066, .164, .964]),
+                                   Gamma(1, 2), 2, 0.99), "3.87951"),
+    (lambda: cmod.arbdep_sd_report(np.array([0, .024, .066, .164, .964]),
+                                   Gamma(1, 2), 2, 0.99), "3.87951"),
+    (lambda: cmod.pairwise_lr_report(10, G10, 2, 0.5, FlatCopula()),
+     "5.55556"),
+    (lambda: cmod.lr_constants(5, G10, 1.2), "1.2"),
+], ids=["posdep_sd", "arbdep_sd", "pairwise_lr", "lr"])
+def test_constants_reaching_one_ask_for_lower_alpha(build, top):
+    with pytest.raises(ValueError) as err:
+        build()
+    assert str(err.value) == f"constants reach {top} >= 1; lower alpha"
 
 
 class TestPairwiseLr:

@@ -64,6 +64,16 @@ class TestGamma:
                 assert got.dtype == np.int64 and got.shape == j.shape
                 assert got.ravel().tolist() == [floor(int(x)) for x in j.flat]
 
+    def test_array_odds_floor_beyond_int64_names_gamma(self):
+        g = Gamma(10**18, 10**18 + 1)  # odds 10**18: j = 9 fits, j = 10 not
+        j = np.arange(10)
+        assert g.floor_odds_mul(j).tolist() == [10**18 * x for x in range(10)]
+        with pytest.raises(ValueError, match=(
+                r"^gamma 1000000000000000000/1000000000000000001 is too close "
+                r"to 1: floor\(j \* 1000000000000000000/1\) exceeds int64 "
+                r"at j = 10$")):
+            g.floor_odds_mul(np.arange(11))
+
     def test_array_floors_reject_negative(self):
         with pytest.raises(ValueError, match="i must be nonnegative, got -1"):
             Gamma(1, 10).floor_mul(np.array([3, -1]))
@@ -148,7 +158,8 @@ class TestContainers:
             CriticalConstants(values=np.array([0.0, 0.5]))
         with pytest.raises(ValueError):
             CriticalConstants(values=np.array([0.5, 1.0]))
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^every constant below rank 3 "
+                           "must equal the constant at rank 3$"):
             CriticalConstants(values=np.array([0.1, 0.2, 0.3]), k=3)
         # flattened head passes
         CriticalConstants(values=np.array([0.2, 0.2, 0.3]), k=2)
