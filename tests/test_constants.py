@@ -859,6 +859,29 @@ class TestCalibration:
         assert residual == pytest.approx(0.05 - rep.scale, rel=1e-3)
         assert int(fields["worst_n0"]) == rep.worst_n0
 
+    @pytest.mark.parametrize("d", ["sd", "su"])
+    def test_each_evaluation_calls_the_module_bound(self, d, monkeypatch,
+                                                    caplog):
+        # the benchmark tracer and the oracle's NaN row wrap the module
+        # attribute, so calibration must look it up once per evaluation
+        calls = []
+        bound = getattr(cmod, f"pair_{d}_bound")
+
+        def counted(*args, **kwargs):
+            calls.append(args[-1])
+            return bound(*args, **kwargs)
+
+        monkeypatch.setattr(cmod, f"pair_{d}_bound", counted)
+        tmpl = cmod.make_template("lr", 20, gamma=G10)
+        with caplog.at_level(logging.DEBUG, logger="fdpctl"):
+            rep = cmod.calibrate_pair_scale(d, tmpl, G10, 2, 0.05,
+                                            EquicorrelatedPairs(0.3))
+        (record,) = caplog.records
+        fields = dict(item.split("=") for item in
+                      record.getMessage().split()[1:])
+        assert len(calls) == int(fields["bound_evals"]) > 2
+        assert rep.beta_star in calls
+
     def test_calibrated_dominates_marginal_only_family(self):
         # 1e-8 relative slack covers the 5e-10 calibration window at alpha = 0.05
         n = 10
