@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -79,6 +80,8 @@ def lr_template(n: int, gamma: Gamma, beta: float) -> np.ndarray:
     Returned with a leading 0 entry so that integer ranks 0..n index
     directly; gamma = 0 reduces to the Holm constants beta/(n+1-i).
     """
+    if n < 1:
+        raise ValueError(f"lr template needs n >= 1, got n={n}")
     i = np.arange(n + 1)
     g = gamma.floor_mul(i)
     denom = n + g + 1 - i
@@ -290,6 +293,11 @@ def _marginal_report(direction: str, value, tpl, gamma: Gamma, k: int,
     """Template flattened at rank k and rescaled by alpha / C."""
     tpl = np.asarray(tpl, dtype=float)
     scale, worst_n0 = _marginal_scale(direction, value, tpl, gamma, k)
+    if not scale > 0.0:
+        raise ValueError(
+            f"degenerate template: worst-case C = {scale:.6g} <= 0, so the "
+            "template is zero at every rank the bound reads"
+        )
     return _report(alpha * tpl / scale, k, scale=scale, worst_n0=worst_n0)
 
 
@@ -402,6 +410,46 @@ def _pair_matrix(F: PairwiseNull, tpl: np.ndarray, rows, cols) -> np.ndarray:
     return out
 
 
+@lru_cache(maxsize=2)
+def _pair_plan(direction: str, n: int, gamma: Gamma, k: int) -> tuple:
+    """What ``pair_sd_bound`` ('sd') or ``pair_su_bound`` ('su') reads
+    without beta, as read-only arrays shared by every evaluation.
+
+    sd: (mbar, rows, cols, diag_at, next_at, n0, real, pd_on, pd_den, k1);
+    su: (mt, rows, cols, diag_at, sup_at, n0, z, below, keep).  rows/cols
+    are the distinct rank pairs F is read at, and the ``*_at`` arrays the
+    flat positions in the (n+1)^2 grid of the pairs each term reads.
+    Calibration looks the bound up on the module at every evaluation, so
+    the plan outlives the call: two entries hold the stepdown and stepup
+    plans of one (n, gamma, k), O(n^2) each.
+    """
+    ranks = _rank_maps(direction, n, gamma, k)
+    n0 = np.arange(k, n + 1)[:, None]
+    levels = np.arange(1, n + 1)            # i (sd) or r (su), and the split K
+    if direction == "sd":
+        # F is read at (mbar_i, mbar_i) and (mbar_i, mbar_{i+1}); past M these
+        # repeat (mbar_M, mbar_M), so the distinct pairs are those of i <= M
+        at = (ranks * (n + 2), ranks[:, 1:-1] * (n + 1) + ranks[:, 2:])
+        rows, cols = np.divmod(np.unique(np.hstack(at)), n + 1)
+        real = levels <= np.count_nonzero(np.diff(ranks), axis=1)[:, None]
+        iok = np.maximum(levels, k)
+        plan = (ranks, rows, cols, *at, n0, real, real & (iok >= 2),
+                np.maximum(iok * (iok - 1), 1), np.maximum(levels[1:], k))
+    else:
+        rows, cols = np.triu_indices(n + 1)
+        # (r, r) and (r - 1, r)
+        at = (ranks[:, 1:] * (n + 2), ranks[:, :-1] * (n + 1) + ranks[:, 1:])
+        below = levels < n0
+        # past n0, where mt repeats mt_n0, q repeats q_n0 = 1/n0
+        q = np.where(below, 1.0 / levels - 1.0 / (levels + 1), 1.0 / n0)
+        z = np.zeros(ranks.shape)
+        np.put_along_axis(z, ranks[:, 1:], q, axis=1)  # z[n0, mt_s] = q_s
+        plan = (ranks, rows, cols, *at, n0, z, below, levels[k - 1:] <= n0)
+    for arr in plan:
+        arr.setflags(write=False)
+    return plan
+
+
 def pair_sd_bound(template: Template, gamma: Gamma, k: int, F: PairwiseNull,
                   beta: float) -> BoundValue:
     """Stepdown exceedance bound mixing marginal and pairwise information.
@@ -410,31 +458,25 @@ def pair_sd_bound(template: Template, gamma: Gamma, k: int, F: PairwiseNull,
     marginal telescope, levels i >= K+2 use the pairwise diagonal telescope,
     and two boundary terms (one additive, one subtractive) join the parts
     when M >= K+1.  The reported value is max over n0 of min over K, taken
-    over the (n0, level) matrix of every n0 at once.
+    over the (n0, level) matrix of every n0 at once.  The rank map, the
+    distinct pairs and the masks come from ``_pair_plan``, built once per
+    (n, gamma, k); each call evaluates the template, F on those pairs and
+    the arithmetic.
     """
-    n = template.n
     tpl = template.values(beta)
-    mbar = _rank_maps("sd", n, gamma, k)
-    # F is read at (mbar_i, mbar_i) and (mbar_i, mbar_{i+1}); past M these
-    # repeat (mbar_M, mbar_M), so the distinct pairs are those of i <= M
-    keys = np.hstack([mbar, mbar[:, 1:-1]]) * (n + 1) \
-        + np.hstack([mbar, mbar[:, 2:]])
-    grid = _pair_matrix(F, tpl, *np.divmod(np.unique(keys), n + 1))
-    n0 = np.arange(k, n + 1)[:, None]
-    levels = np.arange(1, n + 1)                      # i, and the split K
-    real = levels <= np.count_nonzero(np.diff(mbar), axis=1)[:, None]  # <= M
-    fdiag = grid[mbar, mbar]                          # F(av_i, av_i), 0..n
-    fnext = grid[mbar[:, 1:-1], mbar[:, 2:]]          # F(av_K, av_K+1)
+    mbar, rows, cols, diag_at, next_at, n0, real, pd_on, pd_den, k1 = \
+        _pair_plan("sd", template.n, gamma, k)
+    grid = _pair_matrix(F, tpl, rows, cols)
+    fdiag = grid.take(diag_at)                        # F(av_i, av_i), 0..n
+    fnext = grid.take(next_at)                        # F(av_K, av_K+1)
     prefix = _sd_marginal_prefix(tpl[mbar], k, n0)    # A[0..n]
-    iok = np.maximum(levels, k)
     # past M the increments are exactly +0.0, also where F is NaN there
-    pd = np.where(real & (iok >= 2), n0 * (n0 - 1) * np.diff(fdiag)
-                  / np.maximum(iok * (iok - 1), 1), 0.0)
+    pd = np.where(pd_on, n0 * (n0 - 1) * np.diff(fdiag) / pd_den, 0.0)
     tail = np.zeros_like(pd)                          # sum_{i >= K+2} pd_i
     tail[:, :-2] = np.cumsum(pd[:, :1:-1], axis=1)[:, ::-1]
-    # expr(K) = A[K] + sum_{i >= K+2} pd_i + boundary terms if M >= K+1
+    # expr(K) = A[K] + sum_{i >= K+2} pd_i + boundary terms if M >= K+1;
+    # k1 = (K+1) v k for K = 1..n-1
     expr = prefix[:, 1:] + tail
-    k1 = np.maximum(levels[1:], k)                    # (K+1) v k, K = 1..n-1
     expr[:, :-1] += np.where(real[:, 1:], n0 * (n0 - 1) * fdiag[:, 2:]
                              / (k1 * (k1 - 1)) - n0 * fnext / k1, 0.0)
     values = np.where(real, expr, np.inf).min(axis=1)
@@ -451,36 +493,36 @@ def pair_su_bound(template: Template, gamma: Gamma, k: int, F: PairwiseNull,
     The reported value is max over n0 of min over K in [k, n0], taken over
     the (n0, rank) matrix of every n0 at once.  The bound at n0 is NaN when
     F is NaN at a pair it reads: (mt_a, mt_b) with k <= a <= b <= n0, b > k.
+    The rank map, the weight matrix z and the masks come from
+    ``_pair_plan``, built once per (n, gamma, k); each call evaluates the
+    template, F on the upper-triangle pairs and the arithmetic.
     """
     n = template.n
     tpl = template.values(beta)
-    mt = _rank_maps("su", n, gamma, k)      # strictly increasing on 0..n0
-    grid = _pair_matrix(F, tpl, *np.triu_indices(n + 1))
+    mt, rows, cols, diag_at, sup_at, n0, z, below, keep = _pair_plan(
+        "su", n, gamma, k)
+    grid = _pair_matrix(F, tpl, rows, cols)
     nan = np.isnan(grid)
     grid[nan] = 0.0                         # NaN * 0 would poison the product
-    n0 = np.arange(k, n + 1)[:, None]
     r = np.arange(1, n + 1)                 # r, s, and the split K
-    av = tpl[mt]
+    av = tpl[mt]                            # mt strictly increasing on 0..n0
     d = np.diff(av)                         # +0.0 past n0
     pref = np.pad(np.cumsum(n0 * d / r, axis=1), ((0, 0), (1, 0)))
-    diag = grid[mt[:, 1:], mt[:, 1:]]       # F(av_r, av_r)
-    sup = grid[mt[:, :-1], mt[:, 1:]]       # F(av_r-1, av_r)
+    diag = grid.take(diag_at)               # F(av_r, av_r)
+    sup = grid.take(sup_at)                 # F(av_r-1, av_r)
     # sum_{s>r} G(r, s) / s by parts in s: U(r) - U(r-1) + sup_r / r
     # - diag_r / (r+1) for r < n0, 0 at n0.  U(i) = sum_{s>i} F(av_i, av_s)
-    # q_s for every n0 is one product, as s > i exactly when mt_s > mt_i;
-    # past n0, where mt repeats mt_n0, q repeats q_n0 = 1/n0
-    q = np.where(r < n0, 1.0 / r - 1.0 / (r + 1), 1.0 / n0)
-    z = np.zeros(av.shape)
-    np.put_along_axis(z, mt[:, 1:], q, axis=1)  # z[n0, mt_s] = q_s
+    # q_s for every n0 is one product with z, as s > i exactly when
+    # mt_s > mt_i
     u = np.take_along_axis(z @ np.tril(grid, -1), mt, axis=1)
-    by_parts = np.where(r < n0, u[:, 1:] - u[:, :-1] + sup / r
+    by_parts = np.where(below, u[:, 1:] - u[:, :-1] + sup / r
                         - diag / (r + 1), 0.0)
     pdiag = n0 * (n0 - 1) * (diag - sup) / r**2
     row = n0 * d / r**2 + pdiag + n0 * (n0 - 1) / r * by_parts  # 0 past n0
     tail = np.pad(np.cumsum(row[:, ::-1], axis=1)[:, ::-1], ((0, 0), (0, 1)))
     expr = n0 * av[:, k - 1:k] / k + (pref[:, k:] - pref[:, k - 1:k]) \
         + tail[:, k:]
-    values = np.where(r[k - 1:] <= n0, expr, np.inf).min(axis=1)
+    values = np.where(keep, expr, np.inf).min(axis=1)
     if nan.any():  # NaN at (mt_a, mt_b), a in [k, n0] and b in (k, n0]
         lo = np.zeros(av.shape)
         np.put_along_axis(lo, mt[:, k:], 1.0, axis=1)

@@ -90,6 +90,16 @@ class TestTemplates:
         with pytest.raises(ValueError, match=r"template needs n >= 1, got n="):
             cmod.Template(*args, **kwargs)
 
+    @pytest.mark.parametrize("n", [0, -1])
+    @pytest.mark.parametrize("build", [
+        lambda n: cmod.lr_template(n, G10, 0.05),
+        lambda n: cmod.lr_constants(n, G10, 0.05),
+    ], ids=["lr_template", "lr_constants"])
+    def test_lr_n_below_one_names_n(self, build, n):
+        with pytest.raises(ValueError) as err:
+            build(n)
+        assert str(err.value) == f"lr template needs n >= 1, got n={n}"
+
     @pytest.mark.parametrize("kind", ["lr", "bh", "gbs"])
     def test_custom_values_need_custom_kind(self, kind):
         with pytest.raises(ValueError,
@@ -430,6 +440,19 @@ def test_constants_reaching_one_ask_for_lower_alpha(build, top):
     assert str(err.value) == f"constants reach {top} >= 1; lower alpha"
 
 
+@pytest.mark.parametrize("report", [cmod.posdep_sd_report,
+                                    cmod.arbdep_sd_report],
+                         ids=["posdep_sd", "arbdep_sd"])
+def test_zero_worst_case_scale_names_the_template(report):
+    # at gamma 1/2 every stepdown rank the bound reads is below 4, where
+    # this template is 0, so C = 0 and alpha / C is undefined
+    with pytest.raises(ValueError) as err:
+        report(np.array([0, 0, 0, 0, 0.5]), Gamma(1, 2), 1, 0.05)
+    assert str(err.value) == (
+        "degenerate template: worst-case C = 0 <= 0, so the template is "
+        "zero at every rank the bound reads")
+
+
 class TestPairwiseLr:
     def test_independence_hand_expansion(self):
         # with F(u|v) = u the inner bracket telescopes to
@@ -760,6 +783,46 @@ class TestPairDifferential:
                              (cmod.pair_su_bound, oracle.naive_pair_su_bound)):
             got = bound(tmpl, g, k, F, beta).value
             assert got == pytest.approx(naive(tmpl, g, k, F, beta), rel=1e-12)
+
+
+class TestPairPlan:
+    CASES = [(d, n, g, k) for n in (12, 60) for k in (1, 3)
+             for g in (G10, G4) for d in ("sd", "su")]
+    F = EquicorrelatedPairs(0.3)
+
+    def bound(self, d, n, g, k):
+        tmpl = cmod.make_template("lr", n, gamma=g)
+        got = getattr(cmod, f"pair_{d}_bound")(tmpl, g, k, self.F, 0.05)
+        return got.value.hex(), got.worst_n0
+
+    def test_warm_plans_give_the_cold_bits(self):
+        cold = {}
+        for case in self.CASES:
+            cmod._pair_plan.cache_clear()
+            cold[case] = self.bound(*case)
+        cmod._pair_plan.cache_clear()
+        # each case twice in a run of four that alternates direction and
+        # gamma at one (n, k), so the two-entry memo serves both repeats
+        for at in range(0, len(self.CASES), 4):
+            run = self.CASES[at:at + 4]
+            for case in run + run[::-1]:
+                assert self.bound(*case) == cold[case], case
+        assert cmod._pair_plan.cache_info().hits > 0
+
+    @pytest.mark.parametrize("d, n, g, k", CASES)
+    def test_plan_arrays_are_read_only(self, d, n, g, k):
+        for arr in cmod._pair_plan(d, n, g, k):
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                arr.flat[0] = 0
+
+    @pytest.mark.parametrize("d", ["sd", "su"])
+    def test_calibration_builds_its_plan_once(self, d):
+        cmod._pair_plan.cache_clear()
+        tmpl = cmod.make_template("lr", 30, gamma=G10)
+        cmod.calibrate_pair_scale(d, tmpl, G10, 2, 0.05, self.F)
+        info = cmod._pair_plan.cache_info()
+        assert info.misses == 1 and info.hits > 2
 
 
 @st.composite
