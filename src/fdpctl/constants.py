@@ -507,7 +507,8 @@ def pair_su_bound(template: Template, gamma: Gamma, k: int, F: PairwiseNull,
     r = np.arange(1, n + 1)                 # r, s, and the split K
     av = tpl[mt]                            # mt strictly increasing on 0..n0
     d = np.diff(av)                         # +0.0 past n0
-    pref = np.pad(np.cumsum(n0 * d / r, axis=1), ((0, 0), (1, 0)))
+    pref = np.zeros(av.shape)
+    pref[:, 1:] = np.cumsum(n0 * d / r, axis=1)
     diag = grid.take(diag_at)               # F(av_r, av_r)
     sup = grid.take(sup_at)                 # F(av_r-1, av_r)
     # sum_{s>r} G(r, s) / s by parts in s: U(r) - U(r-1) + sup_r / r
@@ -519,7 +520,8 @@ def pair_su_bound(template: Template, gamma: Gamma, k: int, F: PairwiseNull,
                         - diag / (r + 1), 0.0)
     pdiag = n0 * (n0 - 1) * (diag - sup) / r**2
     row = n0 * d / r**2 + pdiag + n0 * (n0 - 1) / r * by_parts  # 0 past n0
-    tail = np.pad(np.cumsum(row[:, ::-1], axis=1)[:, ::-1], ((0, 0), (0, 1)))
+    tail = np.zeros(av.shape)
+    tail[:, :-1] = np.cumsum(row[:, ::-1], axis=1)[:, ::-1]
     expr = n0 * av[:, k - 1:k] / k + (pref[:, k:] - pref[:, k - 1:k]) \
         + tail[:, k:]
     values = np.where(keep, expr, np.inf).min(axis=1)
