@@ -431,6 +431,7 @@ def _pair_plan(direction: str, n: int, gamma: Gamma, k: int) -> tuple:
         # repeat (mbar_M, mbar_M), so the distinct pairs are those of i <= M
         at = (ranks * (n + 2), ranks[:, 1:-1] * (n + 1) + ranks[:, 2:])
         rows, cols = np.divmod(np.unique(np.hstack(at)), n + 1)
+        # real: i <= M, as M is the count of increases along a row
         real = levels <= np.count_nonzero(np.diff(ranks), axis=1)[:, None]
         iok = np.maximum(levels, k)
         plan = (ranks, rows, cols, *at, n0, real, real & (iok >= 2),
