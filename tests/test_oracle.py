@@ -145,3 +145,45 @@ class TestSuite:
         # the quadrant check and the 200 reflection checks; the model
         # checks call pairdist's own kernel and still pass
         assert report.rows[0].violations == 201
+
+
+# Rows that draw nothing from the fuzz stream, as the suite reported them
+# at fuzz_count=20_000, seed=1 before the annotate memo and block draws.
+FROZEN_ROWS = [
+    ("stepdown_exceedance_bound[exhaustive]", 329280, 0, None),
+    ("stepup_exceedance_bound[exhaustive]", 329280, 0, None),
+    ("exceedance_containment[exhaustive]", 109760, 0, None),
+    ("order_stat_bounds[fuzz]", 37441, 0, None),
+    ("index_map_identities", 468, 0, None),
+]
+
+
+@pytest.fixture(scope="class")
+def counted_lemmas():
+    """One lemma-suite run with every ``oracle.annotate_truth`` call counted."""
+    calls = []
+    real = oracle.annotate_truth
+
+    def counting(*args):
+        calls.append(None)
+        return real(*args)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(oracle, "annotate_truth", counting)
+        report = oracle.run_suite(("lemmas",), fuzz_count=20_000, seed=1)
+    return report, len(calls)
+
+
+class TestLemmaRows:
+    def test_unfuzzed_rows_are_frozen(self, counted_lemmas):
+        report, _ = counted_lemmas
+        names = {row[0] for row in FROZEN_ROWS}
+        rows = [(r.name, r.instances, r.violations, r.first_failure)
+                for r in report.rows if r.name in names]
+        assert rows == FROZEN_ROWS
+
+    def test_fuzz_rows_check_fuzz_count_cleanly(self, counted_lemmas):
+        report, _ = counted_lemmas
+        fuzz = [(r.instances, r.violations) for r in report.rows
+                if r.name.endswith("[fuzz]") and not r.name.startswith("order")]
+        assert fuzz == [(20_000, 0)] * 3
