@@ -223,11 +223,18 @@ def _check_k(n: int, k: int) -> None:
 def _report(values: np.ndarray, k: int, **evidence) -> ConstantsReport:
     """Ranks 1..n of the rank-0..n ``values``, flattened below rank k.
 
-    Raises once the top constant reaches 1.  ``evidence`` holds the other
-    ``ConstantsReport`` fields.
+    Raises once the top constant reaches 1, or once a constant at a rank
+    >= k is not positive.  ``evidence`` holds the other ``ConstantsReport``
+    fields.
     """
     if values[-1] >= 1.0:
         raise ValueError(f"constants reach {values[-1]:.6g} >= 1; lower alpha")
+    low = values[k:] <= 0.0
+    if low.any():
+        rank = k + int(low.argmax())
+        raise ValueError(f"degenerate template: the constant at rank {rank} "
+                         f"is {values[rank]:.6g} <= 0; the template must be "
+                         f"positive at every rank >= k = {k}")
     ranks = np.maximum(np.arange(1, values.size), k)
     constants = CriticalConstants(values=values[ranks], k=k)
     return ConstantsReport(constants=constants, **evidence)

@@ -296,6 +296,17 @@ def _run(proc, p: tuple, constants: tuple):
     return proc(np.array(p), _cc(constants))
 
 
+@lru_cache(maxsize=256)
+def _annotated(result, labels):
+    """``annotate_truth`` of one engine run, looked up when it is called.
+
+    Sorted lattice p-vectors reject a prefix of their order, so an
+    exhaustive n-row holds at most (n + 1) 2^n distinct (result, labels)
+    keys.
+    """
+    return annotate_truth(result, labels)
+
+
 def check_sd_exceedance_bound(inst: SmallInstance):
     """Stepdown: I(V > max(gamma R, k-1)) <= the slack-indexed indicator sum.
 
@@ -303,7 +314,7 @@ def check_sd_exceedance_bound(inst: SmallInstance):
     """
     labels = _labels(inst.is_null)
     n0, n1 = labels.n0, labels.n1
-    res = annotate_truth(_run(step_down, inst.p, inst.constants), labels)
+    res = _annotated(_run(step_down, inst.p, inst.constants), labels)
     lhs = int(exceeds_gamma(res, inst.k, inst.gamma))
     if inst.k > n0:
         return None if lhs == 0 else f"exceedance with k > n0 on {inst}"
@@ -331,7 +342,7 @@ def check_su_exceedance_bound(inst: SmallInstance):
     """
     labels = _labels(inst.is_null)
     n0, n1 = labels.n0, labels.n1
-    res = annotate_truth(_run(step_up, inst.p, inst.constants), labels)
+    res = _annotated(_run(step_up, inst.p, inst.constants), labels)
     lhs = int(exceeds_gamma(res, inst.k, inst.gamma))
     if inst.k > n0:
         return None if lhs == 0 else f"exceedance with k > n0 on {inst}"
@@ -396,7 +407,7 @@ def check_exceedance_containment(inst: SmallInstance, alpha: float = 0.05):
     lr = _lr_tuple(inst.n, inst.gamma, alpha)
     nulls = inst.null_p_sorted()
     for proc in (step_down, step_up):
-        res = annotate_truth(_run(proc, inst.p, lr), labels)
+        res = _annotated(_run(proc, inst.p, lr), labels)
         if res.r > 0 and res.v >= inst.gamma.floor_mul(res.r) + 1:
             if not any(nulls[v - 1] <= v * alpha / n0 for v in range(1, n0 + 1)):
                 return (f"containment violated for {proc.__name__} on {inst}: "
@@ -485,23 +496,45 @@ def _exhaustive_instances(n: int, gamma: Gamma, k: int):
                                 gamma=gamma, k=k)
 
 
+_FUZZ_BLOCK = 1024  # instances drawn per batch of whole-array calls
+
+
 def _fuzz_instances(count: int, rng, n_max: int = 8):
+    """``count`` random instances, drawn ``_FUZZ_BLOCK`` at a time.
+
+    Per instance: n uniform on 1..n_max, iid uniform p-values rounded to
+    one decimal with probability 0.3 (to provoke ties), nulls iid with a
+    uniform per-instance rate, with probability 0.5 own sorted constants
+    uniform on [0.01, 0.99] (else the spread constants), gamma 1/10 or 1/4
+    and k uniform on 1..3.
+    """
     gammas = (Gamma(1, 10), Gamma(1, 4))
-    for _ in range(count):
-        n = int(rng.integers(1, n_max + 1))
-        p = rng.uniform(size=n)
-        if rng.uniform() < 0.3:
-            p = p.round(1)  # provoke ties
-        labels = rng.uniform(size=n) < rng.uniform()
-        if rng.uniform() < 0.5:
-            constants = tuple(np.sort(rng.uniform(0.01, 0.99, size=n)).tolist())
-        else:
-            constants = _spread_constants(n)
-        yield SmallInstance(
-            p=tuple(p.tolist()), is_null=tuple(labels.tolist()),
-            constants=constants, gamma=gammas[int(rng.integers(2))],
-            k=int(rng.integers(1, 4)),
-        )
+    for start in range(0, count, _FUZZ_BLOCK):
+        size = min(_FUZZ_BLOCK, count - start)
+        ns = rng.integers(1, n_max + 1, size=size)
+        ends = np.cumsum(ns).tolist()
+        owner = np.repeat(np.arange(size), ns)
+        p = rng.uniform(size=ends[-1])
+        ties = rng.uniform(size=size) < 0.3
+        p = np.where(ties[owner], p.round(1), p).tolist()
+        labels = (rng.uniform(size=ends[-1])
+                  < rng.uniform(size=size)[owner]).tolist()
+        own = rng.uniform(size=size) < 0.5
+        mine = own[owner]
+        raw = rng.uniform(0.01, 0.99, size=int(mine.sum()))
+        own_sorted = iter(raw[np.lexsort((raw, owner[mine]))].tolist())
+        g_index = rng.integers(2, size=size).tolist()
+        ks = rng.integers(1, 4, size=size).tolist()
+        lo = 0
+        for j, hi in enumerate(ends):
+            n = hi - lo
+            constants = (tuple(itertools.islice(own_sorted, n)) if own[j]
+                         else _spread_constants(n))
+            yield SmallInstance(
+                p=tuple(p[lo:hi]), is_null=tuple(labels[lo:hi]),
+                constants=constants, gamma=gammas[g_index[j]], k=ks[j],
+            )
+            lo = hi
 
 
 def _order_stat_outcomes(count: int, rng):

@@ -1,4 +1,5 @@
 import argparse
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -339,7 +340,7 @@ class TestSimulateCommand:
         f1, f2 = str(tmp_path / "a.csv"), str(tmp_path / "b.csv")
         assert cli.main(args + ["-o", f1, "--threads", "1"]) == 0
         assert cli.main(args + ["-o", f2, "--threads", "3"]) == 0
-        assert open(f1, "rb").read() == open(f2, "rb").read()
+        assert Path(f1).read_bytes() == Path(f2).read_bytes()
 
     def test_svg_output(self, capsys, tmp_path):
         out_svg = str(tmp_path / "chart.svg")
@@ -348,7 +349,7 @@ class TestSimulateCommand:
                          "--gamma", "1/10", "--reps", "50", "--seed", "2",
                          "--svg", out_svg)
         assert code == 0
-        doc = open(out_svg).read()
+        doc = Path(out_svg).read_text()
         assert doc.startswith("<!--") and "<svg" in doc
         assert doc.count("<polyline") >= 4          # 2 procedures x 2 panels
         assert "stroke-dasharray" in doc            # the alpha rule

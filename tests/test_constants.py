@@ -453,6 +453,19 @@ def test_zero_worst_case_scale_names_the_template(report):
         "zero at every rank the bound reads")
 
 
+@pytest.mark.parametrize("report", [cmod.posdep_su_report,
+                                    cmod.arbdep_su_report],
+                         ids=["posdep_su", "arbdep_su"])
+def test_zero_prefix_template_names_the_rank(report):
+    # stepup reads rank 4 at gamma 1/2, so C > 0, but the rescaled
+    # constants are 0 at ranks 1-3
+    with pytest.raises(ValueError) as err:
+        report(np.array([0, 0, 0, 0, 0.5]), Gamma(1, 2), 1, 0.05)
+    assert str(err.value) == (
+        "degenerate template: the constant at rank 1 is 0 <= 0; the "
+        "template must be positive at every rank >= k = 1")
+
+
 class TestPairwiseLr:
     def test_independence_hand_expansion(self):
         # with F(u|v) = u the inner bracket telescopes to

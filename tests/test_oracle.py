@@ -158,7 +158,7 @@ FROZEN_ROWS = [
 ]
 
 
-@pytest.fixture(scope="class")
+@pytest.fixture(scope="module")
 def counted_lemmas():
     """One lemma-suite run with every ``oracle.annotate_truth`` call counted."""
     calls = []
@@ -187,3 +187,49 @@ class TestLemmaRows:
         fuzz = [(r.instances, r.violations) for r in report.rows
                 if r.name.endswith("[fuzz]") and not r.name.startswith("order")]
         assert fuzz == [(20_000, 0)] * 3
+
+
+class TestAnnotateMemo:
+    @pytest.mark.parametrize("proc", [oracle.step_down, oracle.step_up],
+                             ids=["step_down", "step_up"])
+    def test_memo_equals_annotate_truth(self, proc):
+        for g in (G10, G4):
+            for k in (1, 2, 3):
+                for it in oracle._exhaustive_instances(3, g, k):
+                    res = oracle._run(proc, it.p, it.constants)
+                    labels = oracle._labels(it.is_null)
+                    got = oracle._annotated(res, labels)
+                    want = oracle.annotate_truth(res, labels)
+                    assert (got.rejected, got.n, got.v, got.s) == \
+                        (want.rejected, want.n, want.v, want.s)
+
+    def test_memo_calls_the_module_attribute(self, counted_lemmas):
+        # without the memo this run called annotate_truth 933,528 times
+        _, calls = counted_lemmas
+        assert 1 <= calls <= 40_000
+
+
+class TestFuzzInstances:
+    @pytest.mark.parametrize("count", [1, oracle._FUZZ_BLOCK,
+                                       oracle._FUZZ_BLOCK + 1])
+    def test_count_is_exact(self, count):
+        rng = np.random.default_rng(3)
+        assert len(list(oracle._fuzz_instances(count, rng))) == count
+
+    def test_instance_mix(self):
+        count = 20_000
+        insts = list(oracle._fuzz_instances(count, np.random.default_rng(5)))
+        own = [it.constants != oracle._spread_constants(it.n) for it in insts]
+        for it, mine in zip(insts, own):
+            assert len(it.is_null) == len(it.constants) == it.n
+            if mine:
+                assert list(it.constants) == sorted(it.constants)
+                assert 0.01 <= it.constants[0] and it.constants[-1] <= 0.99
+        shares = [(sum(it.n == n for it in insts), 1 / 8) for n in range(1, 9)]
+        shares += [(sum(it.k == k for it in insts), 1 / 3) for k in (1, 2, 3)]
+        shares += [(sum(it.gamma == g for it in insts), 1 / 2) for g in (G10, G4)]
+        shares += [(sum(all(round(x, 1) == x for x in it.p) for it in insts), 0.3),
+                   (sum(own), 0.5)]
+        for hits, rate in shares:
+            se = (rate * (1 - rate) / count) ** 0.5
+            assert abs(hits / count - rate) <= 4 * se, (hits, rate)
