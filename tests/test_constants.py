@@ -907,7 +907,7 @@ class TestCalibration:
         with pytest.raises(cmod.CalibrationError, match="not monotone"):
             cmod.bisect_scale(lambda b: b + 0.3 * math.sin(6 * math.pi * b), 0.05)
 
-    @pytest.mark.parametrize("lo, hi", [(0.4, 0.6), (0.01, 0.02)])
+    @pytest.mark.parametrize("lo, hi", [(0.4, 0.6), (0.04, 0.06)])
     def test_nan_value_rejected(self, lo, hi):
         with pytest.raises(cmod.CalibrationError, match="NaN at beta"):
             cmod.bisect_scale(lambda b: math.nan if lo < b < hi else b, 0.05)
