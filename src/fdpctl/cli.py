@@ -12,8 +12,10 @@ failure (calibration non-convergence).
 from __future__ import annotations
 
 import argparse
+import logging
 import os
 import sys
+from contextlib import contextmanager
 from dataclasses import replace
 from datetime import datetime, timezone
 
@@ -54,8 +56,8 @@ def _timestamp() -> str:
     return datetime.now(timezone.utc).strftime("%Y-%m-%dT%H:%M:%SZ")
 
 
-# where the output goes or how fast it is made, not what it holds
-_UNECHOED = ("subcommand", "output", "svg", "threads")
+# where the output goes, how fast it is made or what it logs, not what it holds
+_UNECHOED = ("subcommand", "output", "svg", "threads", "log_level")
 
 
 def _manifest(args, **derived) -> list:
@@ -285,6 +287,10 @@ def _add_constant_flags(sub, source=None):
 
 def _build_parser() -> _Parser:
     parser = _Parser(prog="fdpctl", description=__doc__)
+    parser.add_argument("--log-level", dest="log_level", default=None,
+                        type=str.upper,
+                        choices=("DEBUG", "INFO", "WARNING", "ERROR"),
+                        help="log the 'fdpctl' logger's records to stderr")
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
     p_const = sub.add_parser("constants", help="print a critical-constant table")
@@ -335,11 +341,32 @@ _COMMANDS = {
 }
 
 
+@contextmanager
+def _log_to_stderr(level):
+    """With ``level`` set, log the 'fdpctl' logger to one stderr handler;
+    both are undone on exit, so repeated in-process runs stack nothing."""
+    if level is None:
+        yield
+        return
+    logger = logging.getLogger("fdpctl")
+    handler = logging.StreamHandler(sys.stderr)
+    handler.setFormatter(logging.Formatter("%(levelname)s %(name)s: %(message)s"))
+    old_level = logger.level
+    logger.addHandler(handler)
+    logger.setLevel(level)
+    try:
+        yield
+    finally:
+        logger.removeHandler(handler)
+        logger.setLevel(old_level)
+
+
 def main(argv=None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-        return _COMMANDS[args.subcommand](args)
+        with _log_to_stderr(args.log_level):
+            return _COMMANDS[args.subcommand](args)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1

@@ -82,13 +82,25 @@ def lr_template(n: int, gamma: Gamma, beta: float) -> np.ndarray:
     """
     if n < 1:
         raise ValueError(f"lr template needs n >= 1, got n={n}")
+    num, denom = _lr_parts(n, gamma)
+    vals = num * beta / denom
+    vals[0] = 0.0
+    return vals
+
+
+@lru_cache(maxsize=64)
+def _lr_parts(n: int, gamma: Gamma) -> tuple:
+    """The beta-free integer arrays floor(g i) + 1 and n + floor(g i) + 1 - i
+    of ``lr_template``, read-only: a calibration evaluates the template at
+    every bound evaluation, and only the final multiply depends on beta."""
     i = np.arange(n + 1)
     g = gamma.floor_mul(i)
     denom = n + g + 1 - i
     assert np.all(denom[1:] >= 1), "denominator cannot drop below 1 for i <= n"
-    vals = (g + 1) * beta / denom
-    vals[0] = 0.0
-    return vals
+    parts = (g + 1, denom)
+    for arr in parts:
+        arr.setflags(write=False)
+    return parts
 
 
 _NON_FINITE = "template values must be finite (no NaN or inf)"
@@ -548,12 +560,17 @@ _WIDTH_TOL = 1e-12
 def bisect_scale(value_fn, target: float) -> float:
     """Find beta in (0, 1) with value_fn(beta) = target on a kept bracket.
 
-    Midpoint steps narrow the bracket to width 1/8; from there Illinois
-    regula falsi aims at the middle of the window [target - _VALUE_TOL,
-    target], falling back to the midpoint when the secant leaves the
-    bracket.  Returns the first evaluated beta whose value lies in that
-    window, or, once the bracket is narrower than _WIDTH_TOL, its lower end,
-    where the value is below target.  Either way value_fn(beta) <= target.
+    After both ends, midpoint steps narrow the bracket to width 1/8; from
+    there regula falsi aims at the middle of the window [target -
+    _VALUE_TOL, target], falling back to the midpoint when the secant
+    leaves the bracket.  When two secant steps running move the same end,
+    the kept end's secant weight is scaled by the Anderson-Bjorck factor
+    m = 1 - g_new / g_old (g is the value minus the aim, old the replaced
+    end), or by 1/2 when m <= 0; midpoint steps leave the weights alone.
+    A thm37/thm38 table at n 10 to 200 takes about nine evaluations.
+    Returns the first evaluated beta whose value lies in that window, or,
+    once the bracket is narrower than _WIDTH_TOL, its lower end, where the
+    value is below target.  Either way value_fn(beta) <= target.
     value_fn is assumed increasing; that is checked on the trajectory of
     evaluated points (the coarse midpoint samples span (0, 1)) and a
     violation aborts with ``CalibrationError`` rather than silently picking
@@ -575,26 +592,32 @@ def bisect_scale(value_fn, target: float) -> float:
             f"target {target} unattainable: values span [{v_lo:.3g}, {v_hi:.3g}]"
         )
     aim = target - 0.5 * _VALUE_TOL
-    # secant weights; the one whose endpoint is kept twice running is halved
+    # secant weights; a secant step that moves the end the secant step
+    # before moved scales the kept end's weight (Anderson-Bjorck)
     g_lo, g_hi = v_lo - aim, v_hi - aim
     moved = None
     while hi - lo > _WIDTH_TOL:
         beta = (lo * g_hi - hi * g_lo) / (g_hi - g_lo)
-        if hi - lo > 0.125 or not lo < beta < hi:
+        secant = hi - lo <= 0.125 and lo < beta < hi
+        if not secant:
             beta = 0.5 * (lo + hi)
         v = value(beta)
         if target - _VALUE_TOL <= v <= target:
             break
-        if (v - target) * (v_lo - target) > 0:  # on the side of lo
-            lo, g_lo = beta, v - aim
-            if moved == "lo":
-                g_hi *= 0.5
-            moved = "lo"
+        g = v - aim
+        side = "lo" if (v - target) * (v_lo - target) > 0 else "hi"
+        if secant and side == moved:
+            m = 1.0 - g / (g_lo if side == "lo" else g_hi)
+            m = m if m > 0 else 0.5
+            if side == "lo":
+                g_hi *= m
+            else:
+                g_lo *= m
+        if side == "lo":
+            lo, g_lo = beta, g
         else:
-            hi, g_hi = beta, v - aim
-            if moved == "hi":
-                g_lo *= 0.5
-            moved = "hi"
+            hi, g_hi = beta, g
+        moved = side if secant else None
     else:
         beta = lo
 

@@ -1,4 +1,5 @@
 import argparse
+import logging
 from pathlib import Path
 
 import numpy as np
@@ -405,6 +406,62 @@ class TestSimulateCommand:
                              "--gamma", "1/10", "--reps", "5", *argv)
         assert code == 1 and out == ""
         assert err == f"usage error: {message}\n"
+
+
+class TestLogLevel:
+    ARGV = {
+        "thm37": ["constants", "--family", "thm37", "--n", "12", "--gamma",
+                  "1/10", "--rho", "0.3"],
+        "thm38": ["constants", "--family", "thm38", "--n", "12", "--gamma",
+                  "1/4", "--rho", "0.5"],
+        "simulate": ["simulate", "--procedures", "thm37,lr-su", "--n", "10",
+                     "--gamma", "1/10", "--rho", "0.3", "--reps", "20"],
+    }
+
+    @pytest.mark.parametrize("name", list(ARGV))
+    def test_stdout_is_identical_with_and_without_the_flag(
+            self, capsys, monkeypatch, name):
+        monkeypatch.setenv("FDPCTL_TIMESTAMP", "fixed")
+        code, plain, plain_err = run(capsys, *self.ARGV[name])
+        assert code == 0 and plain_err == ""
+        code, logged, err = run(capsys, "--log-level", "debug",
+                                *self.ARGV[name])
+        assert code == 0 and logged == plain
+        lines = err.splitlines()
+        assert lines and all(ln.startswith("DEBUG fdpctl: ") for ln in lines)
+        kind = "run_cell" if name == "simulate" else "calibrate_pair_scale"
+        assert any(ln.split()[2] == kind for ln in lines)
+
+    def test_calibration_record_names_evals_residual_and_worst_n0(
+            self, capsys):
+        code, out, err = run(capsys, "--log-level", "DEBUG",
+                             *self.ARGV["thm37"])
+        (line,) = err.splitlines()
+        fields = dict(item.split("=") for item in line.split()[3:])
+        assert code == 0 and fields["direction"] == "sd"
+        assert {"bound_evals", "residual", "worst_n0"} <= set(fields)
+        assert f"beta_star,{fields['beta_star']}" in out.splitlines()
+
+    def test_level_above_debug_hides_the_records(self, capsys):
+        code, _, err = run(capsys, "--log-level", "INFO", *self.ARGV["thm38"])
+        assert code == 0 and err == ""
+
+    def test_handler_and_level_are_undone(self, capsys):
+        logger = logging.getLogger("fdpctl")
+        before = (list(logger.handlers), logger.level)
+        # a run, and a run whose command fails (k > n)
+        for argv, want in ((self.ARGV["thm37"], 0),
+                           (self.ARGV["thm37"] + ["--k", "13"], 1)):
+            code, _, _ = run(capsys, "--log-level", "DEBUG", *argv)
+            assert code == want
+            assert (list(logger.handlers), logger.level) == before
+
+    def test_unknown_level_is_usage_error(self, capsys):
+        code, out, err = run(capsys, "--log-level", "loud",
+                             *self.ARGV["thm37"])
+        assert code == 1 and out == ""
+        assert err.startswith("usage error: argument --log-level: invalid "
+                              "choice: 'LOUD'")
 
 
 class TestVerifyCommand:

@@ -34,6 +34,15 @@ class TestTemplates:
             want[0] = 0.0
             assert np.array_equal(cmod.lr_template(n, g, 0.05), want)
 
+    def test_lr_parts_memo_is_read_only(self):
+        cmod._lr_parts.cache_clear()
+        first = cmod.lr_template(30, G10, 0.05)
+        want = first.copy()
+        first[:] = 1.0  # the returned vector is the caller's own
+        assert np.array_equal(cmod.lr_template(30, G10, 0.05), want)
+        assert cmod._lr_parts.cache_info()[:2] == (1, 1)  # hits, misses
+        assert not any(arr.flags.writeable for arr in cmod._lr_parts(30, G10))
+
     def test_lr_gamma_zero_gives_holm(self):
         tpl = cmod.lr_template(100, Gamma(0, 1), 0.05)
         i = np.arange(1, 101)
@@ -855,6 +864,23 @@ def calibration_problems(draw):
             draw(st.sampled_from(["lr", "bh", "gbs"])))
 
 
+@st.composite
+def kinked_value_functions(draw):
+    """(f, target): f(b) = max over groups of min over lines of s b + c, with
+    every slope s > 0, so f is strictly increasing and piecewise linear with
+    kinks, like a pair bound's min over K and max over n0; target lies
+    strictly inside f's range on [1e-12, 1 - 1e-12]."""
+    line = st.tuples(st.floats(0.05, 20.0), st.floats(-1.0, 1.0))
+    groups = draw(st.lists(st.lists(line, min_size=1, max_size=4),
+                           min_size=1, max_size=4))
+
+    def f(b):
+        return max(min(s * b + c for s, c in lines) for lines in groups)
+
+    lo, hi = f(1e-12), f(1.0 - 1e-12)
+    return f, lo + draw(st.floats(0.001, 0.999)) * (hi - lo)
+
+
 class TestCalibration:
     @settings(max_examples=60, deadline=None, derandomize=True, database=None)
     @given(calibration_problems())
@@ -892,6 +918,60 @@ class TestCalibration:
             rep = cmod.family_report(family, 200, G10, 1, 0.05, F=F)
             assert 0.05 - 5e-10 <= rep.scale <= 0.05
         assert 0 < calls["sd"] <= 16 and 0 < calls["su"] <= 16
+
+    def test_pairtables_cells_evaluation_budget(self, monkeypatch):
+        # perfbench's 36 small pairtables cells; Illinois weights that were
+        # also halved by midpoint steps took 11.19 evaluations on average
+        # and 12 at most, Anderson-Bjorck weights after secant steps only
+        # take 9.19 and 10
+        calls = []
+        for d in ("sd", "su"):
+            bound = getattr(cmod, f"pair_{d}_bound")
+
+            def counted(*args, _bound=bound, **kwargs):
+                calls.append(args[-1])
+                return _bound(*args, **kwargs)
+
+            monkeypatch.setattr(cmod, f"pair_{d}_bound", counted)
+        evals = []
+        for n in (10, 20, 50):
+            for g in (G10, G4):
+                tmpl = cmod.make_template("lr", n, gamma=g)
+                for rho in (0.1, 0.3, 0.5):
+                    for d in ("sd", "su"):
+                        calls.clear()
+                        rep = cmod.calibrate_pair_scale(
+                            d, tmpl, g, 1, 0.05, EquicorrelatedPairs(rho))
+                        assert 0.05 - 5e-10 <= rep.scale <= 0.05
+                        evals.append(len(calls))
+        assert len(evals) == 36
+        assert np.mean(evals) <= 9.5 and max(evals) <= 11
+
+    @settings(max_examples=300, deadline=None, derandomize=True,
+              database=None)
+    @given(kinked_value_functions())
+    def test_solution_window_on_kinked_functions(self, problem):
+        f, target = problem
+        points = []
+
+        def value(b):
+            points.append(b)
+            return f(b)
+
+        beta = cmod.bisect_scale(value, target)
+        assert target - 5e-10 <= f(beta) <= target
+        # the coarse samples the monotonicity check reads: both ends, then
+        # midpoints until the bracket is 1/8 wide or one lands in the window
+        lo, hi = 1e-12, 1.0 - 1e-12
+        assert points[:2] == [lo, hi]
+        for at in points[2:5]:
+            assert at == 0.5 * (lo + hi)
+            if target - 5e-10 <= f(at) <= target:
+                assert beta == at and at == points[-1]
+                break
+            lo, hi = (at, hi) if f(at) < target else (lo, at)
+        else:
+            assert hi - lo <= 0.125
 
     def test_linear_functional_closed_form(self):
         beta = cmod.bisect_scale(lambda b: 3.0 * b, 0.05)
