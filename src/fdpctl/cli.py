@@ -288,7 +288,6 @@ def _add_constant_flags(sub, source=None):
 def _build_parser() -> _Parser:
     parser = _Parser(prog="fdpctl", description=__doc__)
     parser.add_argument("--log-level", dest="log_level", default=None,
-                        type=str.upper,
                         choices=("DEBUG", "INFO", "WARNING", "ERROR"),
                         help="log the 'fdpctl' logger's records to stderr")
     sub = parser.add_subparsers(dest="subcommand", required=True)

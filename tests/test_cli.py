@@ -424,7 +424,7 @@ class TestLogLevel:
         monkeypatch.setenv("FDPCTL_TIMESTAMP", "fixed")
         code, plain, plain_err = run(capsys, *self.ARGV[name])
         assert code == 0 and plain_err == ""
-        code, logged, err = run(capsys, "--log-level", "debug",
+        code, logged, err = run(capsys, "--log-level", "DEBUG",
                                 *self.ARGV[name])
         assert code == 0 and logged == plain
         lines = err.splitlines()
@@ -457,11 +457,11 @@ class TestLogLevel:
             assert (list(logger.handlers), logger.level) == before
 
     def test_unknown_level_is_usage_error(self, capsys):
-        code, out, err = run(capsys, "--log-level", "loud",
+        code, out, err = run(capsys, "--log-level", "debug",
                              *self.ARGV["thm37"])
         assert code == 1 and out == ""
         assert err.startswith("usage error: argument --log-level: invalid "
-                              "choice: 'LOUD'")
+                              "choice: 'debug'")
 
 
 class TestVerifyCommand:
