@@ -56,8 +56,8 @@ def _timestamp() -> str:
     return datetime.now(timezone.utc).strftime("%Y-%m-%dT%H:%M:%SZ")
 
 
-# where the output goes, how fast it is made or what it logs, not what it holds
-_UNECHOED = ("subcommand", "output", "svg", "threads", "log_level")
+# where the output goes or what it logs, not what it holds
+_UNECHOED = ("subcommand", "output", "svg", "log_level")
 
 
 def _manifest(args, **derived) -> list:
@@ -86,8 +86,14 @@ def _parse_gamma(text: str) -> Gamma:
     return gamma
 
 
-def _parse_floats(text: str) -> list:
-    return [float(tok) for tok in text.split(",") if tok]
+def _parse_list(text: str, flag: str, convert=str) -> list:
+    """The entries of a comma list; an empty one is a usage error."""
+    tokens = text.split(",")
+    for pos, tok in enumerate(tokens, start=1):
+        if not tok.strip():
+            raise UsageError(f"{flag} has an empty entry at position {pos} "
+                             f"of {len(tokens)}: {text!r}")
+    return [convert(tok) for tok in tokens]
 
 
 # ---------------------------------------------------------------------------
@@ -155,7 +161,7 @@ def cmd_test(args) -> int:
                        if getattr(args, key) is None})
     p = _read_pvalues(args.pvalues)
     if args.constants is not None:
-        vals = np.asarray(_parse_floats(args.constants))
+        vals = np.asarray(_parse_list(args.constants, "--constants", float))
         if vals.size != p.size:
             raise UsageError(f"{vals.size} constants for {p.size} p-values")
         constants = CriticalConstants(values=vals, k=args.k)
@@ -190,23 +196,18 @@ def cmd_test(args) -> int:
 
 def cmd_simulate(args) -> int:
     gamma = _parse_gamma(args.gamma)
-    tokens = [tok for tok in args.procedures.split(",") if tok]
-    if not tokens:
-        raise UsageError("empty --procedures list")
+    tokens = _parse_list(args.procedures, "--procedures")
     procedures = [simlab.build_procedure(tok, k=args.k, template=args.template)
                   for tok in tokens]
     model = simlab.DependenceModel.parse(args.dependence)
-    rhos = _parse_floats(args.rho)
-    pi0s = _parse_floats(args.pi0)
-    if not rhos or not pi0s:
-        raise UsageError("empty sweep axis")
+    rhos = _parse_list(args.rho, "--rho", float)
+    pi0s = _parse_list(args.pi0, "--pi0", float)
     base = simlab.MonteCarloConfig(
         n=args.n, pi0=pi0s[0], gamma=gamma, alpha=args.alpha,
         effect=args.effect, reps=args.reps, seed=args.seed,
         model=replace(model, rho=rhos[0]),
     )
-    reports = simlab.run_grid(base, procedures, rhos=rhos, pi0s=pi0s,
-                              threads=args.threads)
+    reports = simlab.run_grid(base, procedures, rhos=rhos, pi0s=pi0s)
     manifest = _manifest(args)
     lines = manifest + [
         "procedure,rho,pi0,gamma,k,exceedance,exceedance_se,power,power_se"]
@@ -319,8 +320,6 @@ def _build_parser() -> _Parser:
     p_sim.add_argument("--dependence", default="uniform",
                        help="uniform | block:<size> | ar1")
     p_sim.add_argument("--template", choices=("lr", "bh", "gbs"), default="lr")
-    p_sim.add_argument("--threads", type=int,
-                       default=int(os.environ.get("FDPCTL_THREADS", "1")))
     p_sim.add_argument("--svg", default=None, help="also plot the grid to SVG")
     p_sim.add_argument("-o", "--output", default=None)
 

@@ -89,30 +89,27 @@ class Gamma:
     def floor_mul(self, i):
         """Exact floor(gamma * i) for integer i >= 0, or elementwise for an
         int array i."""
-        # a Python int skips the array test: a 20,000-draw lemma suite makes
-        # about 270,000 scalar floor calls
-        if type(i) is not int and isinstance(i, np.ndarray):
-            return self._floor_ratio(self.den, i, "i")
-        if i < 0:
-            raise ValueError(f"i must be nonnegative, got {i}")
-        return (self.num * i) // self.den
+        return self._floor_ratio(self.den, i, "i")
 
     def floor_odds_mul(self, j):
         """Exact floor(gamma * j / (1 - gamma)) for integer j >= 0, or
         elementwise for an int array j."""
-        if type(j) is not int and isinstance(j, np.ndarray):
-            return self._floor_ratio(self.den - self.num, j, "j")
-        if j < 0:
-            raise ValueError(f"j must be nonnegative, got {j}")
-        return (self.num * j) // (self.den - self.num)
+        return self._floor_ratio(self.den - self.num, j, "j")
 
-    def _floor_ratio(self, den: int, j: np.ndarray, name: str) -> np.ndarray:
-        """floor(num * j / den) elementwise as int64, for an int array j >= 0.
+    def _floor_ratio(self, den: int, j, name: str):
+        """floor(num * j / den) for an integer j >= 0, or elementwise as
+        int64 for an int array j.
 
-        Computed in int64 unless num * max(j) or den exceeds it, where numpy
-        would wrap or raise; then in Python ints.  A floor beyond int64
-        raises, naming gamma.
+        An array is computed in int64 unless num * max(j) or den exceeds
+        it, where numpy would wrap or raise; then in Python ints.  A floor
+        beyond int64 raises, naming gamma.
         """
+        # a Python int skips the array test: a 20,000-draw lemma suite makes
+        # about 270,000 scalar floor calls
+        if type(j) is int or not isinstance(j, np.ndarray):
+            if j < 0:
+                raise ValueError(f"{name} must be nonnegative, got {j}")
+            return (self.num * j) // den
         j = np.asarray(j, dtype=np.int64)
         low = int(j.min(initial=0))
         if low < 0:

@@ -25,35 +25,55 @@ from .core import CriticalConstants, RejectionResult, TruthLabels
 __all__ = ["step_down", "step_up", "annotate_truth", "step_counts"]
 
 
-def _ordered(p, constants: CriticalConstants):
+def _checked(p: np.ndarray) -> np.ndarray:
+    """p itself, after checking every value lies in [0, 1]."""
+    # min and max carry NaN; the initial values make an empty block pass
+    if not (0.0 <= np.minimum.reduce(p, axis=None, initial=0.0)
+            and np.maximum.reduce(p, axis=None, initial=1.0) <= 1.0):
+        raise ValueError("p-values must lie in [0, 1]")
+    return p
+
+
+def _count(p_sorted, direction: str, constants: CriticalConstants):
+    """Rejection count along the last axis of sorted p-values.
+
+    Stepdown scans up from rank 1 to the first failing rank, stepup down
+    from rank n to the first passing one.  A scan that never stops also
+    reads 0, and the first scanned rank's flag tells the two apart.  The
+    flag enters by arithmetic: a reduction or np.where would cost a 1-d call
+    about a microsecond more.
+    """
+    n = p_sorted.shape[-1]
+    if constants.n != n:
+        raise ValueError(f"{n} p-values but {constants.n} critical constants")
+    if direction == "sd":
+        ok = p_sorted <= constants.values
+        stop = ok.argmin(axis=-1)
+        return stop + (n - stop) * ((stop == 0) & ok.take(0, axis=-1))
+    if direction == "su":
+        ok = p_sorted[..., ::-1] <= constants.values[::-1]
+        stop = ok.argmax(axis=-1)
+        return (n - stop) * ((stop > 0) | ok.take(0, axis=-1))
+    raise ValueError(f"direction must be sd or su, got {direction!r}")
+
+
+def _step(p, direction: str, constants: CriticalConstants) -> RejectionResult:
     p = np.asarray(p, dtype=float)
     if p.ndim != 1:
         raise ValueError("p-values must form a 1-d vector")
-    if p.size != constants.n:
-        raise ValueError(
-            f"{p.size} p-values but {constants.n} critical constants"
-        )
-    # one pass: NaN fails both comparisons and +-inf fails one
-    if not ((p >= 0.0) & (p <= 1.0)).all():
-        raise ValueError("p-values must lie in [0, 1]")
-    order = p.argsort(kind="stable")
-    return p, order
+    order = _checked(p).argsort(kind="stable")
+    count = _count(p[order], direction, constants)
+    return RejectionResult(rejected=order[:count].tolist(), n=p.size)
 
 
 def step_down(p, constants: CriticalConstants) -> RejectionResult:
     """Run the stepdown procedure; returns the rejected original indices."""
-    p, order = _ordered(p, constants)
-    ok = p[order] <= constants.values
-    count = int(ok.size if ok.all() else ok.argmin())
-    return RejectionResult(rejected=tuple(order[:count].tolist()), n=p.size)
+    return _step(p, "sd", constants)
 
 
 def step_up(p, constants: CriticalConstants) -> RejectionResult:
     """Run the stepup procedure; returns the rejected original indices."""
-    p, order = _ordered(p, constants)
-    ok = (p[order] <= constants.values).nonzero()[0]
-    count = int(ok[-1] + 1) if ok.size else 0
-    return RejectionResult(rejected=tuple(order[:count].tolist()), n=p.size)
+    return _step(p, "su", constants)
 
 
 def annotate_truth(result: RejectionResult, labels: TruthLabels) -> RejectionResult:
@@ -83,23 +103,13 @@ def step_counts(p, is_null, runs) -> list:
         raise ValueError(f"p-value block of shape {p.shape} does not match "
                          f"{is_null.size} truth labels")
     rows, n = p.shape
-    if not ((p >= 0.0) & (p <= 1.0)).all():
-        raise ValueError("p-values must lie in [0, 1]")
-    order = p.argsort(axis=1, kind="stable")
+    order = _checked(p).argsort(axis=1, kind="stable")
     p_sorted = np.take_along_axis(p, order, axis=1)
     nulls = np.zeros((rows, n + 1), dtype=np.int64)
     np.cumsum(is_null[order], axis=1, out=nulls[:, 1:])
     row = np.arange(rows)
     out = []
     for direction, constants in runs:
-        if constants.n != n:
-            raise ValueError(f"{n} p-values but {constants.n} critical constants")
-        ok = p_sorted <= constants.values
-        if direction == "sd":      # the first failing rank
-            r = np.where(ok.all(axis=1), n, ok.argmin(axis=1))
-        elif direction == "su":    # the last passing rank
-            r = np.where(ok.any(axis=1), n - ok[:, ::-1].argmax(axis=1), 0)
-        else:
-            raise ValueError(f"direction must be sd or su, got {direction!r}")
+        r = _count(p_sorted, direction, constants)
         out.append((r, nulls[row, r]))
     return out

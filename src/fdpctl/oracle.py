@@ -2,13 +2,17 @@
 
 Everything in this module is deliberately literal.  The naive_* functions
 re-implement the critical-constant formulas as plain nested loops over the
-displayed expressions, with floors done in exact rational arithmetic and no
-caching, so they can arbitrate the optimized implementations in
-``constants``.  The check_* functions verify, pointwise on a concrete
-instance, the deterministic inequalities that underpin the exceedance
-bounds; the probabilistic (expectation-level) statements are *not* checked
-here because pointwise truth does not hold for them, they are validated as
-Monte Carlo upper bounds in the simulation tests instead.
+displayed expressions, with floors done in exact rational arithmetic, so
+they can arbitrate the optimized implementations in ``constants``.  Their
+memos hold pure reads only, so none can change a result: the index maps
+``naive_levels``, ``naive_sd_slack`` and ``naive_su_rank`` are exact
+integer functions of integers and the immutable gamma, and a pair bound
+reads F once per distinct scalar (u, v) of one call, where a repeat scalar
+call would give the same bits.  The check_* functions verify, pointwise on
+a concrete instance, the deterministic inequalities that underpin the
+exceedance bounds; the probabilistic (expectation-level) statements are
+*not* checked here because pointwise truth does not hold for them, they
+are validated as Monte Carlo upper bounds in the simulation tests instead.
 
 Exhaustive grids enumerate sorted p-value multisets times all truth
 labelings; every check is invariant under jointly permuting p-values and
@@ -136,7 +140,7 @@ def _lr_tuple(n: int, gamma: Gamma, alpha: float) -> tuple:
 
 
 # ---------------------------------------------------------------------------
-# naive worst-case scales (triple loops, no caching)
+# naive worst-case scales (triple loops; only the index maps are memoized)
 
 def naive_posdep_sd_scale(tpl, n: int, gamma: Gamma, k: int) -> float:
     best = -np.inf
@@ -196,6 +200,11 @@ def naive_pairwise_lr_scale(n: int, k: int, alpha: float, F: PairwiseNull) -> fl
     return best
 
 
+def _memo_cdf(F: PairwiseNull):
+    """F(u, v) as a float, computed once per distinct (u, v) of one call."""
+    return lru_cache(maxsize=None)(lambda u, v: float(F.cdf(u, v)))
+
+
 def naive_pair_sd_bound(template, gamma: Gamma, k: int, F: PairwiseNull,
                         beta: float) -> float:
     """Literal max-min evaluation of the pairwise stepdown bound.
@@ -204,14 +213,7 @@ def naive_pair_sd_bound(template, gamma: Gamma, k: int, F: PairwiseNull,
     """
     n = template.n
     tpl = template.values(beta)
-    memo = {}
-
-    def Fv(u, v):
-        key = (u, v)
-        if key not in memo:
-            memo[key] = float(F.cdf(u, v))
-        return memo[key]
-
+    Fv = _memo_cdf(F)
     best = -np.inf
     for n0 in range(k, n + 1):
         n1 = n - n0
@@ -246,14 +248,7 @@ def naive_pair_su_bound(template, gamma: Gamma, k: int, F: PairwiseNull,
     """
     n = template.n
     tpl = template.values(beta)
-    memo = {}
-
-    def Fv(u, v):
-        key = (u, v)
-        if key not in memo:
-            memo[key] = float(F.cdf(u, v))
-        return memo[key]
-
+    Fv = _memo_cdf(F)
     best = -np.inf
     for n0 in range(k, n + 1):
         n1 = n - n0

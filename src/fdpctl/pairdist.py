@@ -23,7 +23,7 @@ quadrature.
 from __future__ import annotations
 
 import math
-from functools import lru_cache
+from functools import lru_cache, wraps
 
 import numpy as np
 from scipy.special import ndtr, ndtri
@@ -76,53 +76,59 @@ def _theta_rule(rho_abs: float):
     return rule
 
 
+def _pointwise(kernel):
+    """The kernels' shared preamble: check rho, broadcast the two arguments
+    and run ``kernel`` on 1-d views of them; scalar inputs return a float."""
+    @wraps(kernel)
+    def run(x, y, rho: float):
+        if not -1.0 <= rho <= 1.0:
+            raise ValueError(f"correlation must lie in [-1, 1], got {rho}")
+        x, y = np.broadcast_arrays(np.asarray(x, dtype=float),
+                                   np.asarray(y, dtype=float))
+        out = kernel(np.atleast_1d(x), np.atleast_1d(y), rho)
+        return float(out[0]) if x.ndim == 0 else out
+    return run
+
+
+@_pointwise
 def bvn_cdf(a, b, rho: float):
     """P(Z1 <= a, Z2 <= b) for standard bivariate normal with correlation rho.
 
     a and b broadcast as numpy arrays (+-inf allowed); rho is a scalar in
     [-1, 1].  Scalar inputs return a float.
     """
-    if not -1.0 <= rho <= 1.0:
-        raise ValueError(f"correlation must lie in [-1, 1], got {rho}")
-    a_arr, b_arr = np.broadcast_arrays(
-        np.asarray(a, dtype=float), np.asarray(b, dtype=float)
-    )
-    scalar = a_arr.ndim == 0
-    a_arr = np.atleast_1d(a_arr)
-    b_arr = np.atleast_1d(b_arr)
-    if np.isnan(a_arr).any() or np.isnan(b_arr).any():
+    if np.isnan(a).any() or np.isnan(b).any():
         raise ValueError("bounds must not be NaN")
-
     if rho == 1.0:
-        out = ndtr(np.minimum(a_arr, b_arr))
-    elif rho == -1.0:
-        out = np.maximum(ndtr(a_arr) + ndtr(b_arr) - 1.0, 0.0)
-    elif rho == 0.0:
-        out = ndtr(a_arr) * ndtr(b_arr)
-    else:
-        out = ndtr(a_arr) * ndtr(b_arr)
-        finite = np.isfinite(a_arr) & np.isfinite(b_arr)
-        if finite.any():
-            af = a_arr[finite]
-            bf = b_arr[finite]
-            c, c_sin, w = _theta_rule(abs(rho))
-            # sign folded into the cross term: the rho < 0 integral mirrors
-            # onto [0, asin|rho|] with a*b -> -a*b.
-            two_hk = math.copysign(2.0, rho) * af * bf
-            sq = af * af + bf * bf
-            corr = np.empty(af.size)
-            for lo in range(0, af.size, _KERNEL_BLOCK):
-                hi = lo + _KERNEL_BLOCK
-                expo = np.multiply.outer(c, sq[lo:hi])
-                expo -= np.multiply.outer(c_sin, two_hk[lo:hi])
-                np.exp(expo, out=expo)
-                corr[lo:hi] = w @ expo
-            corr /= 2.0 * math.pi
-            out = out.copy()
-            out[finite] += math.copysign(1.0, rho) * corr
-    return float(out[0]) if scalar else out
+        return ndtr(np.minimum(a, b))
+    if rho == -1.0:
+        return np.maximum(ndtr(a) + ndtr(b) - 1.0, 0.0)
+    out = ndtr(a) * ndtr(b)
+    if rho == 0.0:
+        return out
+    finite = np.isfinite(a) & np.isfinite(b)
+    if not finite.any():
+        return out
+    af = a[finite]
+    bf = b[finite]
+    c, c_sin, w = _theta_rule(abs(rho))
+    # sign folded into the cross term: the rho < 0 integral mirrors onto
+    # [0, asin|rho|] with a*b -> -a*b.
+    two_hk = math.copysign(2.0, rho) * af * bf
+    sq = af * af + bf * bf
+    corr = np.empty(af.size)
+    for lo in range(0, af.size, _KERNEL_BLOCK):
+        hi = lo + _KERNEL_BLOCK
+        expo = np.multiply.outer(c, sq[lo:hi])
+        expo -= np.multiply.outer(c_sin, two_hk[lo:hi])
+        np.exp(expo, out=expo)
+        corr[lo:hi] = w @ expo
+    corr /= 2.0 * math.pi
+    out[finite] += math.copysign(1.0, rho) * corr
+    return out
 
 
+@_pointwise
 def two_sided_equicorr_cdf(u, v, rho: float):
     """Joint CDF of two-sided normal p-values under equicorrelation rho.
 
@@ -133,32 +139,17 @@ def two_sided_equicorr_cdf(u, v, rho: float):
     enter through their absolute values.  rho = 0 and |rho| = 1 take their
     exact forms u v and min(u, v).
     """
-    if not -1.0 <= rho <= 1.0:
-        raise ValueError(f"correlation must lie in [-1, 1], got {rho}")
-    u_arr = np.asarray(u, dtype=float)
-    v_arr = np.asarray(v, dtype=float)
     # one pass per argument; NaN fails both comparisons
-    if not (((u_arr >= 0) & (u_arr <= 1)).all()
-            and ((v_arr >= 0) & (v_arr <= 1)).all()):
+    if not (((u >= 0) & (u <= 1)).all() and ((v >= 0) & (v <= 1)).all()):
         raise ValueError("p-value arguments must lie in [0, 1]")
-    u_arr, v_arr = np.broadcast_arrays(u_arr, v_arr)
-    scalar = u_arr.ndim == 0
-    u_arr = np.atleast_1d(u_arr)
-    v_arr = np.atleast_1d(v_arr)
-
     if rho == 0.0:
-        out = u_arr * v_arr
-    elif abs(rho) == 1.0:
-        out = np.minimum(u_arr, v_arr)
-    else:
-        with np.errstate(divide="ignore"):
-            neg_a = ndtri(u_arr / 2.0)  # = -z_{u/2}; -inf at u = 0
-            neg_b = ndtri(v_arr / 2.0)
-        out = 2.0 * (
-            np.atleast_1d(bvn_cdf(neg_a, neg_b, rho))
-            + np.atleast_1d(bvn_cdf(neg_a, neg_b, -rho))
-        )
-    return float(out[0]) if scalar else out
+        return u * v
+    if abs(rho) == 1.0:
+        return np.minimum(u, v)
+    with np.errstate(divide="ignore"):
+        neg_a = ndtri(u / 2.0)  # = -z_{u/2}; -inf at u = 0
+        neg_b = ndtri(v / 2.0)
+    return 2.0 * (bvn_cdf(neg_a, neg_b, rho) + bvn_cdf(neg_a, neg_b, -rho))
 
 
 def conditional_cdf(F: "PairwiseNull", u, v):

@@ -331,7 +331,9 @@ def run_grid(base: MonteCarloConfig, procedures, rhos=None, pi0s=None,
     An axis left as None holds the base cell's value; each procedure keeps
     its own k.  With threads > 1 the cells run on a thread pool; per-cell
     work is pure and reports are collected in sweep order, so the output
-    does not depend on the worker count.
+    does not depend on the worker count.  Two threads never beat one, so
+    the CLI offers none; the pool stays only for perfbench's ``figures.py
+    threads`` and the public-name test, and goes together with them.
     """
     procedures = list(procedures)
     if not procedures:

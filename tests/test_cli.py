@@ -29,7 +29,7 @@ def pfile(tmp_path):
 
 
 class TestManifest:
-    UNECHOED = ("output", "svg", "threads")
+    UNECHOED = ("output", "svg")
 
     @staticmethod
     def dests(subcommand):
@@ -339,9 +339,18 @@ class TestSimulateCommand:
                 "--pi0", "0.5", "--rho", "0,0.4", "--gamma", "1/10",
                 "--reps", "100", "--seed", "5"]
         f1, f2 = str(tmp_path / "a.csv"), str(tmp_path / "b.csv")
-        assert cli.main(args + ["-o", f1, "--threads", "1"]) == 0
-        assert cli.main(args + ["-o", f2, "--threads", "3"]) == 0
+        assert cli.main(args + ["-o", f1]) == 0
+        assert cli.main(args + ["-o", f2]) == 0
         assert Path(f1).read_bytes() == Path(f2).read_bytes()
+
+    def test_thread_option_is_gone(self, capsys, monkeypatch):
+        monkeypatch.setenv("FDPCTL_THREADS", "x")  # read by nothing
+        argv = ["simulate", "--procedures", "lr-sd", "--n", "10",
+                "--gamma", "1/10", "--reps", "5"]
+        assert run(capsys, *argv)[0] == 0
+        code, out, err = run(capsys, *argv, "--threads", "2")
+        assert code == 1 and out == ""
+        assert "unrecognized arguments: --threads 2" in err
 
     def test_svg_output(self, capsys, tmp_path):
         out_svg = str(tmp_path / "chart.svg")
@@ -406,6 +415,32 @@ class TestSimulateCommand:
                              "--gamma", "1/10", "--reps", "5", *argv)
         assert code == 1 and out == ""
         assert err == f"usage error: {message}\n"
+
+
+class TestCommaLists:
+    """An empty entry in a comma list is a usage error, not skipped."""
+
+    @pytest.mark.parametrize("flag,value,pos,count", [
+        ("--procedures", "lr-sd,,lr-su", 2, 3),
+        ("--procedures", "lr-sd,", 2, 2),
+        ("--rho", "0.1,,0.2", 2, 3),
+        ("--rho", "0.1,", 2, 2),
+        ("--pi0", ",0.5", 1, 2),
+        ("--pi0", "0.5,", 2, 2),
+        ("--constants", "0.1,,0.2,0.3", 2, 4),
+        ("--constants", "0.01,0.02,0.03,", 4, 4),
+    ])
+    def test_empty_entry_names_flag_and_position(self, capsys, pfile, flag,
+                                                 value, pos, count):
+        if flag == "--constants":
+            argv = ["test", "--pvalues", pfile, "--direction", "sd"]
+        else:
+            argv = ["simulate", "--procedures", "lr-sd", "--n", "10",
+                    "--gamma", "1/10", "--reps", "5"]
+        code, out, err = run(capsys, *argv, flag, value)
+        assert code == 1 and out == ""
+        assert err == (f"usage error: {flag} has an empty entry at position "
+                       f"{pos} of {count}: {value!r}\n")
 
 
 class TestLogLevel:

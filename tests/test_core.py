@@ -74,6 +74,13 @@ class TestGamma:
                 r"at j = 10$")):
             g.floor_odds_mul(np.arange(11))
 
+    @pytest.mark.parametrize("value", [-1, np.int64(-1)], ids=["int", "int64"])
+    def test_scalar_floors_reject_negative(self, value):
+        with pytest.raises(ValueError, match="^i must be nonnegative, got -1$"):
+            Gamma(1, 10).floor_mul(value)
+        with pytest.raises(ValueError, match="^j must be nonnegative, got -1$"):
+            Gamma(1, 10).floor_odds_mul(value)
+
     def test_array_floors_reject_negative(self):
         with pytest.raises(ValueError, match="i must be nonnegative, got -1"):
             Gamma(1, 10).floor_mul(np.array([3, -1]))

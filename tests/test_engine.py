@@ -221,6 +221,15 @@ class TestStepCounts:
             step_counts([[0.1, 0.2], [0.1, bad]], [True, False],
                         [("sd", cc(0.05, 0.06))])
 
+    def test_zero_row_block(self):
+        c = cc(0.05, 0.06)
+        counts = step_counts(np.empty((0, 2)), [True, False],
+                             [("sd", c), ("su", c)])
+        assert len(counts) == 2
+        for r, v in counts:
+            assert r.shape == v.shape == (0,)
+            assert r.dtype == v.dtype == np.int64
+
     def test_shape_and_direction_checked(self):
         labels = [True, False]
         with pytest.raises(ValueError, match="shape"):

@@ -138,6 +138,31 @@ class TestTwoSidedEquicorr:
             prev = cur
 
 
+class TestKernelReturnTypes:
+    """Both kernels return a float for scalar or 0-d input and a float
+    array of the broadcast shape otherwise."""
+
+    @pytest.mark.parametrize("rho", [0.0, 0.5, -1.0])
+    @pytest.mark.parametrize("kernel,x,y", [(bvn_cdf, -0.3, 0.8),
+                                            (two_sided_equicorr_cdf, 0.3, 0.8)],
+                             ids=["bvn", "two_sided"])
+    def test_scalar_zero_d_broadcast_and_array(self, kernel, x, y, rho):
+        value = kernel(x, y, rho)
+        assert type(value) is float
+        for args in ((np.array(x), np.array(y)), (np.float64(x), y)):
+            got = kernel(*args, rho)
+            assert type(got) is float and got == value
+        cases = [(np.full(3, x), y, (3,)),
+                 (x, np.full((2, 1), y), (2, 1)),
+                 (np.full((2, 1), x), np.full(4, y), (2, 4)),
+                 (np.full(5, x), np.full(5, y), (5,))]
+        for a, b, shape in cases:
+            got = kernel(a, b, rho)
+            assert isinstance(got, np.ndarray) and got.dtype == np.float64
+            assert got.shape == shape
+            np.testing.assert_allclose(got, value, rtol=1e-15, atol=0)
+
+
 class TestCopulaInvariants:
     @pytest.mark.parametrize("rho", [0.0, 0.1, 0.5, 0.9])
     def test_equicorrelated_model(self, rho):
