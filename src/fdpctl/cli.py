@@ -87,13 +87,14 @@ def _parse_gamma(text: str) -> Gamma:
 
 
 def _parse_list(text: str, flag: str, convert=str) -> list:
-    """The entries of a comma list; an empty one is a usage error."""
+    """The blank-stripped entries of a comma list; an empty one is a usage
+    error."""
     tokens = text.split(",")
     for pos, tok in enumerate(tokens, start=1):
         if not tok.strip():
             raise UsageError(f"{flag} has an empty entry at position {pos} "
                              f"of {len(tokens)}: {text!r}")
-    return [convert(tok) for tok in tokens]
+    return [convert(tok.strip()) for tok in tokens]
 
 
 # ---------------------------------------------------------------------------

@@ -30,12 +30,13 @@ from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
+from scipy.special import ndtri
 
 from . import constants as cmod
 from .core import CriticalConstants, Gamma, TruthLabels, exceeds_gamma
 from .engine import annotate_truth, step_down, step_up
 from .pairdist import (EquicorrelatedPairs, PairwiseNull, bvn_cdf,
-                       validate_pairwise)
+                       two_sided_equicorr_cdf, validate_pairwise)
 
 __all__ = [
     "SmallInstance",
@@ -643,6 +644,22 @@ def _pairdist_outcomes():
             yield None
 
 
+def _composition_outcomes():
+    """The fused two-sided kernel against its four-quadrant composition
+    2 (Phi2(a, b, rho) + Phi2(a, b, -rho)), a = ndtri(u/2), at 200 seeded
+    points, to 1e-15 absolute; |rho| reaches 1 - 1e-7."""
+    rng = np.random.default_rng(11)
+    for _ in range(200):
+        u, v = rng.uniform(size=2) ** 3
+        rho = math.copysign(1.0 - 10.0 ** -rng.uniform(0.0, 7.0),
+                            rng.uniform(-1.0, 1.0))
+        a, b = ndtri(u / 2.0), ndtri(v / 2.0)
+        want = 2.0 * (bvn_cdf(a, b, rho) + bvn_cdf(a, b, -rho))
+        err = abs(two_sided_equicorr_cdf(u, v, rho) - want)
+        yield (f"two-sided F off its composition by {err:.2e} at u={u}, v={v}, "
+               f"rho={rho}" if not err <= 1e-15 else None)
+
+
 def run_suite(suites=("lemmas", "constants", "pairdist"), fuzz_count: int = 100_000,
               seed: int = 20240901) -> SuiteReport:
     """Run the requested verification suites and collect a pass/fail table."""
@@ -658,4 +675,5 @@ def run_suite(suites=("lemmas", "constants", "pairdist"), fuzz_count: int = 100_
         report.run("dual_implementation_equivalence", _dual_outcomes())
     if "pairdist" in suites:
         report.run("pairwise_kernel", _pairdist_outcomes())
+        report.run("two_sided_composition", _composition_outcomes())
     return report

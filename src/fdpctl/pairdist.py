@@ -12,12 +12,17 @@ The kernel integrates the classic identity d(Phi2)/d(rho) = bvn density,
 i.e. Phi2(a, b, rho) = Phi(a) Phi(b) + (1/2pi) * int_0^rho
 exp(-(a^2 - 2 t a b + b^2) / (2 (1 - t^2))) / sqrt(1 - t^2) dt, with the
 substitution t = sin(theta) that removes the endpoint singularity.  The
-first Gauss-Legendre panel, [0, min(|rho|, 0.925)], takes Genz's node
-counts (A. Genz, Stat. Comput. 14 (2004)): 6 nodes for |rho| < 0.3, 12 for
-|rho| < 0.75 and 20 above.  Panels of 48 nodes refine geometrically from
-0.925 toward |rho| = 1, so the absolute error stays below ~1e-15 on the
-whole open interval; rho = +-1 is handled analytically, never by
-quadrature.
+two-sided model sums the four tail quadrants in one pass of the same rule:
+with a, b = ndtri(u/2), ndtri(v/2) and c = -1 / (2 cos^2 theta),
+F(u, v) = 2 (Phi2(a, b, rho) + Phi2(a, b, -rho)) = u v + (1/pi) *
+int_0^asin|rho| [exp(c (a^2 + b^2) - 2 a b c sin theta) -
+exp(c (a^2 + b^2) + 2 a b c sin theta)] dtheta, since the product terms
+4 Phi(a) Phi(b) are u v by construction.  The first Gauss-Legendre panel,
+[0, min(|rho|, 0.925)], takes Genz's node counts (A. Genz, Stat. Comput.
+14 (2004)): 6 nodes for |rho| < 0.3, 12 for |rho| < 0.75 and 20 above.
+Panels of 48 nodes refine geometrically from 0.925 toward |rho| = 1, so
+the absolute error stays below ~1e-15 on the whole open interval;
+rho = +-1 is handled analytically, never by quadrature.
 """
 
 from __future__ import annotations
@@ -76,6 +81,47 @@ def _theta_rule(rho_abs: float):
     return rule
 
 
+def _add_theta_integral(out, a, b, rho: float, mirrored: bool = False):
+    """Add the kernels' theta integral to ``out`` where a and b are finite.
+
+    Plain, it adds bvn_cdf's (1/2pi) int_0^asin(rho) exp(c (a^2 + b^2) -
+    2 a b c sin theta) dtheta: the rho < 0 integral mirrors onto
+    [0, asin|rho|] with a b -> -a b, so the sign folds into the cross term.
+    ``mirrored`` adds the two-sided kernel's (1/pi) int_0^asin(rho)
+    [exp(... - 2 a b c sin theta) - exp(... + 2 a b c sin theta)] dtheta,
+    the rho and -rho terms in one pass; with rho >= 0 and a b >= 0 both
+    exponents are <= 0.
+    """
+    finite = np.isfinite(a) & np.isfinite(b)
+    if not finite.any():
+        return out
+    af = a[finite]
+    bf = b[finite]
+    c, c_sin, w = _theta_rule(abs(rho))
+    two_hk = math.copysign(2.0, rho) * af * bf
+    sq = af * af + bf * bf
+    corr = np.empty(af.size)
+    for lo in range(0, af.size, _KERNEL_BLOCK):
+        hi = lo + _KERNEL_BLOCK
+        expo = np.multiply.outer(c, sq[lo:hi])
+        cross = np.multiply.outer(c_sin, two_hk[lo:hi])
+        if mirrored:
+            upper = expo + cross
+            np.exp(upper, out=upper)
+        expo -= cross
+        np.exp(expo, out=expo)
+        if mirrored:
+            expo -= upper
+        corr[lo:hi] = w @ expo
+    if mirrored:
+        corr /= math.pi
+        out[finite] += corr
+    else:
+        corr /= 2.0 * math.pi
+        out[finite] += math.copysign(1.0, rho) * corr
+    return out
+
+
 def _pointwise(kernel):
     """The kernels' shared preamble: check rho, broadcast the two arguments
     and run ``kernel`` on 1-d views of them; scalar inputs return a float."""
@@ -106,26 +152,7 @@ def bvn_cdf(a, b, rho: float):
     out = ndtr(a) * ndtr(b)
     if rho == 0.0:
         return out
-    finite = np.isfinite(a) & np.isfinite(b)
-    if not finite.any():
-        return out
-    af = a[finite]
-    bf = b[finite]
-    c, c_sin, w = _theta_rule(abs(rho))
-    # sign folded into the cross term: the rho < 0 integral mirrors onto
-    # [0, asin|rho|] with a*b -> -a*b.
-    two_hk = math.copysign(2.0, rho) * af * bf
-    sq = af * af + bf * bf
-    corr = np.empty(af.size)
-    for lo in range(0, af.size, _KERNEL_BLOCK):
-        hi = lo + _KERNEL_BLOCK
-        expo = np.multiply.outer(c, sq[lo:hi])
-        expo -= np.multiply.outer(c_sin, two_hk[lo:hi])
-        np.exp(expo, out=expo)
-        corr[lo:hi] = w @ expo
-    corr /= 2.0 * math.pi
-    out[finite] += math.copysign(1.0, rho) * corr
-    return out
+    return _add_theta_integral(out, a, b, rho)
 
 
 @_pointwise
@@ -134,10 +161,14 @@ def two_sided_equicorr_cdf(u, v, rho: float):
 
     With z_q the upper-q standard normal quantile, this is
     P(|Z1| >= z_{u/2}, |Z2| >= z_{v/2}) for (Z1, Z2) standard bivariate
-    normal with correlation rho, assembled from four quadrant evaluations
-    of ``bvn_cdf``.  Symmetric in the sign of rho because the statistics
-    enter through their absolute values.  rho = 0 and |rho| = 1 take their
-    exact forms u v and min(u, v).
+    normal with correlation rho.  The four tail quadrants sum to
+    2 (Phi2(a, b, rho) + Phi2(a, b, -rho)) with a, b = ndtri(u/2),
+    ndtri(v/2), which is u v + (1/pi) int_0^asin|rho| [exp(c (a^2 + b^2)
+    - 2 a b c sin theta) - exp(c (a^2 + b^2) + 2 a b c sin theta)] dtheta
+    with c = -1 / (2 cos^2 theta): one quadrature pass, and no ndtr call,
+    since 4 Phi(a) Phi(b) = u v.  Symmetric in the sign of rho because the
+    statistics enter through their absolute values.  rho = 0 and |rho| = 1
+    take their exact forms u v and min(u, v).
     """
     # one pass per argument; NaN fails both comparisons
     if not (((u >= 0) & (u <= 1)).all() and ((v >= 0) & (v <= 1)).all()):
@@ -147,9 +178,10 @@ def two_sided_equicorr_cdf(u, v, rho: float):
     if abs(rho) == 1.0:
         return np.minimum(u, v)
     with np.errstate(divide="ignore"):
-        neg_a = ndtri(u / 2.0)  # = -z_{u/2}; -inf at u = 0
-        neg_b = ndtri(v / 2.0)
-    return 2.0 * (bvn_cdf(neg_a, neg_b, rho) + bvn_cdf(neg_a, neg_b, -rho))
+        a = ndtri(u / 2.0)  # = -z_{u/2}; -inf at u = 0
+        b = ndtri(v / 2.0)
+    # Phi(a) Phi(b) = (u/2)(v/2), so the four product terms sum to u v
+    return _add_theta_integral(u * v, a, b, abs(rho), mirrored=True)
 
 
 def conditional_cdf(F: "PairwiseNull", u, v):

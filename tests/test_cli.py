@@ -155,7 +155,8 @@ class TestConstantsCommand:
     def test_pairwise_lr_scale_row_is_a_plain_float(self, capsys):
         code, out, _ = run(capsys, "constants", "--family", "thm34", "--n", "10",
                            "--k", "2", "--gamma", "1/10", "--rho", "0.3")
-        assert code == 0 and "C,0.5370621909191886" in data_rows(out)
+        # a 40-digit quadrature of C gives 0.53706219091918884
+        assert code == 0 and "C,0.5370621909191887" in data_rows(out)
 
     def test_n0_cap_flag_is_gone(self, capsys):
         code, _, err = run(capsys, "constants", "--family", "thm32", "--n", "10",
@@ -441,6 +442,19 @@ class TestCommaLists:
         assert code == 1 and out == ""
         assert err == (f"usage error: {flag} has an empty entry at position "
                        f"{pos} of {count}: {value!r}\n")
+
+    def test_blank_padded_entries_are_stripped(self, capsys, monkeypatch):
+        # the manifest echoes the flags as typed; the data rows must not move
+        monkeypatch.setenv("FDPCTL_TIMESTAMP", "fixed")
+        argv = ["simulate", "--n", "10", "--gamma", "1/10", "--reps", "20",
+                "--seed", "3"]
+        code, plain, _ = run(capsys, *argv, "--procedures", "lr-sd,lr-su",
+                             "--rho", "0,0.3")
+        assert code == 0
+        code, padded, err = run(capsys, *argv, "--procedures", "lr-sd, lr-su",
+                                "--rho", "0, 0.3")
+        assert code == 0 and err == ""
+        assert "\n".join(data_rows(padded)) == "\n".join(data_rows(plain))
 
 
 class TestLogLevel:

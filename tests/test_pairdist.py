@@ -3,6 +3,7 @@ import math
 import mpmath
 import numpy as np
 import pytest
+from scipy import integrate
 from scipy.special import ndtr, ndtri
 
 from fdpctl.pairdist import (EquicorrelatedPairs, PairwiseNull, bvn_cdf,
@@ -136,6 +137,67 @@ class TestTwoSidedEquicorr:
             cur = two_sided_equicorr_cdf(g1, g2, rho)
             assert np.min(cur - prev) > -1e-10
             prev = cur
+
+
+def _two_sided_composed(u, v, rho):
+    """The four-quadrant form 2 (Phi2(a, b, rho) + Phi2(a, b, -rho))."""
+    with np.errstate(divide="ignore"):
+        a, b = ndtri(np.asarray(u) / 2.0), ndtri(np.asarray(v) / 2.0)
+    return 2.0 * (bvn_cdf(a, b, rho) + bvn_cdf(a, b, -rho))
+
+
+def _two_sided_quad(u: float, v: float, rho: float) -> float:
+    """u v + (1/pi) int_0^asin|rho| [e^(c(a^2+b^2) - 2abc sin) -
+    e^(c(a^2+b^2) + 2abc sin)] dtheta, c = -1/(2 cos^2), by adaptive quad."""
+    a, b = float(ndtri(u / 2.0)), float(ndtri(v / 2.0))
+    sq, two_ab = a * a + b * b, 2.0 * a * b
+
+    def integrand(t):
+        c = -0.5 / math.cos(t) ** 2
+        return (math.exp(c * (sq - two_ab * math.sin(t)))
+                - math.exp(c * (sq + two_ab * math.sin(t))))
+
+    corr, _ = integrate.quad(integrand, 0.0, math.asin(abs(rho)),
+                             epsabs=1e-17, epsrel=1e-13, limit=200)
+    return u * v + corr / math.pi
+
+
+class TestFusedTwoSided:
+    """The one-pass two-sided kernel on a grid over the node-count edges,
+    the band edge 0.925 and |rho| near 1."""
+
+    LEVELS = np.array([0.0, 5e-324, 1e-300, 1e-8, 0.05, 0.5, 1.0])
+    RHOS = [s * r for r in (0.1, 0.299, 0.3, 0.74, 0.76, 0.924, 0.926, 0.99,
+                            1.0 - 1e-7) for s in (1.0, -1.0)]
+    GRID = np.meshgrid(LEVELS, LEVELS, indexing="ij")
+
+    @pytest.mark.parametrize("rho", RHOS)
+    def test_matches_composition(self, rho):
+        g1, g2 = self.GRID
+        got = two_sided_equicorr_cdf(g1, g2, rho)
+        assert np.max(np.abs(got - _two_sided_composed(g1, g2, rho))) <= 1e-15
+
+    @pytest.mark.parametrize("rho", RHOS)
+    def test_symmetric_bit_for_bit(self, rho):
+        g1, g2 = self.GRID
+        assert np.array_equal(two_sided_equicorr_cdf(g1, g2, rho),
+                              two_sided_equicorr_cdf(g2, g1, rho))
+
+    @pytest.mark.parametrize("rho", RHOS)
+    def test_zero_argument_gives_zero(self, rho):
+        zero = np.zeros_like(self.LEVELS)
+        assert (two_sided_equicorr_cdf(zero, self.LEVELS, rho) == 0.0).all()
+        assert (two_sided_equicorr_cdf(self.LEVELS, zero, rho) == 0.0).all()
+
+    def test_matches_adaptive_quadrature(self):
+        rng = np.random.default_rng(2)
+        for _ in range(50):
+            u, v = 10.0 ** -rng.uniform(0.0, 10.0, size=2)
+            rho = float(rng.choice([-1.0, 1.0])
+                        * (1.0 - 10.0 ** -rng.uniform(0.0, 7.0)))
+            err = abs(two_sided_equicorr_cdf(u, v, rho)
+                      - _two_sided_quad(u, v, rho))
+            assert err <= 1e-15, (u, v, rho, err)
 
 
 class TestKernelReturnTypes:
