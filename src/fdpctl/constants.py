@@ -26,6 +26,10 @@ rank past M (mbar) or n0 (mt), so M is the count of increases along a row.
 m(i) exists for every i in [1, M] exactly when gamma <= 1/2 (the scan
 f(j) = floor(gamma j/(1-gamma)) + 1 then advances in unit steps); larger
 gamma would skip levels, which the stepdown families do not support.
+
+A stepdown family and its stepup twin differ only in the rank map they read;
+each pair bound's last admissible split reads its marginal telescope's last
+entry, so pair <= marginal holds bit for bit.
 """
 
 from __future__ import annotations
@@ -267,36 +271,29 @@ def _worst_over_n0(values, k: int):
 
 # ---------------------------------------------------------------------------
 # marginal-only families: C = max over n0 of value(av, k, n0), av = tpl[row]
-# of mbar (stepdown) or mt (stepup).  Padded posdep terms never exceed the
-# real ones and padded telescope increments are +0.0: rows read as unpadded.
+# of mbar (stepdown) or mt (stepup): the direction picks only the rank map.
+# Padded posdep terms never exceed the real ones and padded telescope
+# increments are +0.0: rows read as unpadded.  The pair bounds read the same
+# telescope, so pair <= marginal holds exactly.
 
-def _posdep_sd_value(av: np.ndarray, k: int, n0: int) -> float:
-    return float((n0 * av[1:] / np.maximum(np.arange(1, av.size), k)).max())
-
-
-def _posdep_su_value(av: np.ndarray, k: int, n0: int) -> float:
+def _posdep_value(av: np.ndarray, k: int, n0: int) -> float:
+    # ranks i < k would read n0 av[i] / k <= n0 av[k] / k: av is nondecreasing
     return float((n0 * av[k:] / np.arange(k, av.size)).max())
 
 
-def _sd_marginal_prefix(av: np.ndarray, k: int, n0) -> np.ndarray:
-    """A[..., K] = sum_{i<=K} n0 (av[i]-av[i-1]) / (i v k), on the last axis."""
-    iok = np.maximum(np.arange(1, av.shape[-1]), k)
-    steps = np.cumsum(n0 * np.diff(av) / iok, axis=-1)
-    return np.concatenate([np.zeros(av.shape[:-1] + (1,)), steps], axis=-1)
+def _marginal_prefix(av: np.ndarray, k: int, n0) -> np.ndarray:
+    """A[..., K] = sum_{i<=K} n0 (av[i]-av[i-1]) / (i v k), on the last axis;
+    av[0] = 0, so A[K] = n0 av[k] / k + sum_{k<i<=K} ... for K >= k."""
+    i = np.arange(1, av.shape[-1])
+    out = np.zeros(av.shape)
+    np.cumsum(n0 * (av[..., 1:] - av[..., :-1]) / np.maximum(i, k, out=i),
+              axis=-1, out=out[..., 1:])
+    return out
 
 
-def _arbdep_sd_value(av: np.ndarray, k: int, n0: int) -> float:
-    return float(_sd_marginal_prefix(av, k, n0)[-1])
-
-
-def _arbdep_su_value(av: np.ndarray, k: int, n0: int) -> float:
-    """n0 * (av[k]/k + sum_{i=k+1}^{n0} (av[i]-av[i-1]) / i).
-
-    Only the row's own terms: numpy's pairwise ``sum`` groups them by length.
-    """
-    av = av[:n0 + 1]
-    i = np.arange(k + 1, n0 + 1)
-    return float(n0 * (av[k] / k + np.sum((av[k + 1:] - av[k:-1]) / i)))
+def _arbdep_value(av: np.ndarray, k: int, n0: int) -> float:
+    # levels past n0 only add +0.0, so the row is cut there
+    return float(_marginal_prefix(av[:n0 + 1], k, n0)[-1])
 
 
 def _marginal_scale(direction: str, value, tpl: np.ndarray, gamma: Gamma,
@@ -326,12 +323,12 @@ def posdep_sd_report(tpl, gamma: Gamma, k: int, alpha: float) -> ConstantsReport
     Rescales the template by C = max over n0 and levels i of
     n0 * tpl[mbar(i)] / (i v k).
     """
-    return _marginal_report("sd", _posdep_sd_value, tpl, gamma, k, alpha)
+    return _marginal_report("sd", _posdep_value, tpl, gamma, k, alpha)
 
 
 def posdep_su_report(tpl, gamma: Gamma, k: int, alpha: float) -> ConstantsReport:
     """Stepup analog of ``posdep_sd_report``: C = max n0 * tpl[mt(i)] / i."""
-    return _marginal_report("su", _posdep_su_value, tpl, gamma, k, alpha)
+    return _marginal_report("su", _posdep_value, tpl, gamma, k, alpha)
 
 
 def arbdep_sd_report(tpl, gamma: Gamma, k: int, alpha: float) -> ConstantsReport:
@@ -340,12 +337,12 @@ def arbdep_sd_report(tpl, gamma: Gamma, k: int, alpha: float) -> ConstantsReport
     C = max over n0 of the telescoping sum
     n0 * sum_i (tpl[mbar(i)] - tpl[mbar(i-1)]) / (i v k).
     """
-    return _marginal_report("sd", _arbdep_sd_value, tpl, gamma, k, alpha)
+    return _marginal_report("sd", _arbdep_value, tpl, gamma, k, alpha)
 
 
 def arbdep_su_report(tpl, gamma: Gamma, k: int, alpha: float) -> ConstantsReport:
     """Stepup analog of ``arbdep_sd_report`` built on the mt(i) ranks."""
-    return _marginal_report("su", _arbdep_su_value, tpl, gamma, k, alpha)
+    return _marginal_report("su", _arbdep_value, tpl, gamma, k, alpha)
 
 
 def sd_marginal_bound(tpl, gamma: Gamma) -> float:
@@ -355,12 +352,13 @@ def sd_marginal_bound(tpl, gamma: Gamma) -> float:
     the quantity the pairwise stepdown bound can only improve on: the
     arbdep stepdown scale at k = 1.
     """
-    return _marginal_scale("sd", _arbdep_sd_value, tpl, gamma, 1)[0]
+    return _marginal_scale("sd", _arbdep_value, tpl, gamma, 1)[0]
 
 
 def su_marginal_bound(tpl, gamma: Gamma) -> float:
-    """Stepup analog of ``sd_marginal_bound``: the arbdep stepup scale at k = 1."""
-    return _marginal_scale("su", _arbdep_su_value, tpl, gamma, 1)[0]
+    """Stepup analog of ``sd_marginal_bound`` (mt for mbar), the quantity
+    ``pair_su_bound`` can only improve on: the arbdep stepup scale at k = 1."""
+    return _marginal_scale("su", _arbdep_value, tpl, gamma, 1)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -489,7 +487,7 @@ def pair_sd_bound(template: Template, gamma: Gamma, k: int, F: PairwiseNull,
     grid = _pair_matrix(F, tpl, rows, cols)
     fdiag = grid.take(diag_at)                        # F(av_i, av_i), 0..n
     fnext = grid.take(next_at)                        # F(av_K, av_K+1)
-    prefix = _sd_marginal_prefix(tpl[mbar], k, n0)    # A[0..n]
+    prefix = _marginal_prefix(tpl[mbar], k, n0)       # A[0..n]
     # past M the increments are exactly +0.0, also where F is NaN there
     pd = np.where(pd_on, n0 * (n0 - 1) * np.diff(fdiag) / pd_den, 0.0)
     tail = np.zeros_like(pd)                          # sum_{i >= K+2} pd_i
@@ -527,8 +525,6 @@ def pair_su_bound(template: Template, gamma: Gamma, k: int, F: PairwiseNull,
     r = np.arange(1, n + 1)                 # r, s, and the split K
     av = tpl[mt]                            # mt strictly increasing on 0..n0
     d = np.diff(av)                         # +0.0 past n0
-    pref = np.zeros(av.shape)
-    pref[:, 1:] = np.cumsum(n0 * d / r, axis=1)
     diag = grid.take(diag_at)               # F(av_r, av_r)
     sup = grid.take(sup_at)                 # F(av_r-1, av_r)
     # sum_{s>r} G(r, s) / s by parts in s: U(r) - U(r-1) + sup_r / r
@@ -542,8 +538,8 @@ def pair_su_bound(template: Template, gamma: Gamma, k: int, F: PairwiseNull,
     row = n0 * d / r**2 + pdiag + n0 * (n0 - 1) / r * by_parts  # 0 past n0
     tail = np.zeros(av.shape)
     tail[:, :-1] = np.cumsum(row[:, ::-1], axis=1)[:, ::-1]
-    expr = n0 * av[:, k - 1:k] / k + (pref[:, k:] - pref[:, k - 1:k]) \
-        + tail[:, k:]
+    # A[K] + sum_{r>K} row_r; at K = n0 the tail is +0.0, so the marginal C
+    expr = _marginal_prefix(av, k, n0)[:, k:] + tail[:, k:]
     values = np.where(keep, expr, np.inf).min(axis=1)
     if nan.any():  # NaN at (mt_a, mt_b), a in [k, n0] and b in (k, n0]
         lo = np.zeros(av.shape)

@@ -1,3 +1,4 @@
+import itertools
 import logging
 import math
 import warnings
@@ -523,6 +524,60 @@ class TestPairwiseLr:
                 cmod.pairwise_lr_report(10, G10, 2, 0.05, Countermonotone())
 
 
+@st.composite
+def pairwise_lr_problems(draw):
+    """(n, gamma, k, alpha, rho) with n <= 12, k in 2..min(n, 4), |rho| < 1."""
+    n = draw(st.integers(2, 12))
+    k = draw(st.integers(2, min(n, 4)))
+    gamma = draw(st.sampled_from([Gamma(0, 1), G10, G4, Gamma(1, 2)]))
+    alpha = draw(st.floats(0.005, 0.1))
+    rho = draw(st.floats(-1.0, 1.0, exclude_min=True, exclude_max=True))
+    return n, gamma, k, alpha, rho
+
+
+class NanBeyond(PairwiseNull):
+    """Independence, except NaN where an argument lies above (or below) t."""
+
+    def __init__(self, t, above=True):
+        self.t, self.above = t, above
+
+    def cdf(self, u, v):
+        u, v = np.asarray(u, dtype=float), np.asarray(v, dtype=float)
+        hit = (np.maximum(u, v) > self.t if self.above
+               else np.minimum(u, v) < self.t)
+        return np.where(hit, np.nan, u * v)
+
+
+class TestPairwiseLrDifferential:
+    @settings(max_examples=80, deadline=None, derandomize=True, database=None)
+    @given(pairwise_lr_problems())
+    @example((12, G10, 2, 0.05, 0.0))
+    @example((9, Gamma(1, 2), 3, 0.005, 1.0))
+    @example((7, G4, 4, 0.1, -1.0))
+    def test_scale_matches_naive_twin(self, problem):
+        n, g, k, alpha, rho = problem
+        F = EquicorrelatedPairs(rho)
+        naive = oracle.naive_pairwise_lr_scale(n, k, alpha, F)
+        try:
+            got = cmod.pairwise_lr_report(n, g, k, alpha, F).scale
+        except ValueError as err:
+            # the two-sided F is at least u v, so C > 0; the one refusal
+            # left is a top constant alpha / min(C, 1) that reaches 1
+            assert "lower alpha" in str(err)
+            assert alpha >= min(naive, 1.0) * (1.0 - 1e-12)
+        else:
+            assert got == pytest.approx(naive, rel=1e-12)
+
+    # row n0 reads F at the thresholds b_i = i alpha / n0, i = k..n0: each
+    # row reaches alpha, and b_k = 2 alpha / n0 drops below 0.0101 at n0 10
+    @pytest.mark.parametrize("t, above, first", [(0.04, True, 2),
+                                                 (0.0101, False, 10)])
+    def test_nan_from_F_names_the_first_n0_that_reads_it(self, t, above,
+                                                         first):
+        with pytest.raises(ValueError, match=f"NaN at n0={first}$"):
+            cmod.pairwise_lr_report(20, G10, 2, 0.05, NanBeyond(t, above))
+
+
 class NanAtRanks(PairwiseNull):
     """Independence, except NaN at the ranks (a, b) of template vector tpl."""
 
@@ -561,6 +616,26 @@ class TestPairBounds:
                         cmod.sd_marginal_bound(vals, G10)
                     assert cmod.pair_su_bound(tmpl, G10, 1, F, beta).value <= \
                         cmod.su_marginal_bound(vals, G10)
+
+    @pytest.mark.parametrize("n", [3, 5, 8, 12, 25])
+    def test_never_exceeds_its_marginal_scale_exactly(self, n):
+        # a pair bound's last split (K = M for sd, K = n0 for su) reads the
+        # marginal telescope's last entry, so a plain <= holds; the stepup
+        # bound once summed its own telescope and read 0.08750000000000001
+        # against 0.0875 at n 3, gamma 0, lr, rho 1, beta 0.05
+        for g, kind, rho, beta in itertools.product(
+                (Gamma(0, 1), G10, G4, Gamma(1, 2)), ("lr", "bh", "gbs"),
+                (0.0, 0.5, 0.99, -0.5, 1.0, -1.0), (0.005, 0.05, 0.5)):
+            tmpl = cmod.make_template(kind, n, gamma=g)
+            tpl = tmpl.values(beta)
+            F = EquicorrelatedPairs(rho)
+            for d in ("sd", "su"):
+                scales = [getattr(cmod, f"{d}_marginal_bound")(tpl, g)] + [
+                    getattr(cmod, f"arbdep_{d}_report")(tpl, g, k, 1e-4).scale
+                    for k in (2, 3)]
+                for k, scale in enumerate(scales, 1):
+                    got = getattr(cmod, f"pair_{d}_bound")(tmpl, g, k, F, beta)
+                    assert got.value <= scale, (d, g, kind, rho, beta, k)
 
     def test_vanishes_as_beta_to_zero(self):
         tmpl = cmod.make_template("lr", 8, gamma=G10)
@@ -756,10 +831,10 @@ MARGINAL_FROZEN = {
     ("arbdep_sd", "bh", 3): (0.5997827380952382, 137),
     ("arbdep_sd", "gbs", 1): (1.148974948572179, 110),
     ("arbdep_sd", "gbs", 3): (1.076380191921677, 21),
-    ("arbdep_su", "lr", 1): (0.18915975970538942, 129),
-    ("arbdep_su", "lr", 3): (0.16166403321764433, 111),
-    ("arbdep_su", "bh", 1): (0.982030661667432, 156),
-    ("arbdep_su", "bh", 3): (0.6970647479603264, 143),
+    ("arbdep_su", "lr", 1): (0.18915975970538945, 129),
+    ("arbdep_su", "lr", 3): (0.16166403321764428, 111),
+    ("arbdep_su", "bh", 1): (0.9820306616674321, 156),
+    ("arbdep_su", "bh", 3): (0.6970647479603268, 143),
     ("arbdep_su", "gbs", 1): (2.303676448776793, 120),
     ("arbdep_su", "gbs", 3): (2.0749067532441345, 102),
 }
